@@ -4,7 +4,7 @@
 // mutex and left merging/novelty logic to every call site (those shims are
 // gone).  A Snapshot extracts the model state once and is then a plain value:
 // it merges, computes novelty against a prior, and serializes to a compact
-// binary form that travels over the farm's worker pipe and into the campaign
+// binary form that travels in fleet RECORD frames and into the campaign
 // journal — which is what lets mtt::guide feed per-run coverage deltas back
 // into campaign control without re-running anything.
 //

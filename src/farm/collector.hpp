@@ -112,19 +112,10 @@ class Collector {
   /// must not be dispatched again.
   bool isDone(std::uint64_t index) const { return done_.count(index) != 0; }
 
-  std::size_t timeouts() const { return timeouts_; }
-  std::size_t crashes() const { return crashes_; }
-  std::size_t infraErrors() const { return infraErrors_; }
-  std::size_t retries() const { return retries_; }
-  std::size_t resumed() const { return resumed_; }
-  std::size_t quarantined() const { return quarantined_; }
-  std::size_t delivered() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return records_.size();
-  }
-
-  /// Final progress line (with newline) + the records, sorted by runIndex.
-  std::vector<experiment::RunObservation> finish() {
+  /// Final progress line (with newline), then the records sorted by
+  /// runIndex and the counts, as a campaign result; the caller fills
+  /// requested, workers, model and wallSeconds.
+  CampaignResult finish() {
     std::lock_guard<std::mutex> lk(mu_);
     maybeProgressLocked(true);
     std::sort(records_.begin(), records_.end(),
@@ -132,7 +123,17 @@ class Collector {
                  const experiment::RunObservation& b) {
                 return a.runIndex < b.runIndex;
               });
-    return std::move(records_);
+    CampaignResult cr;
+    cr.records = std::move(records_);
+    cr.timeouts = timeouts_;
+    cr.crashes = crashes_;
+    cr.infraErrors = infraErrors_;
+    cr.retries = retries_;
+    cr.resumed = resumed_;
+    cr.quarantined = quarantined_;
+    cr.stoppedEarly = stopped();
+    cr.abortDiagnostic = ioError_;
+    return cr;
   }
 
   /// Seed for a record the farm synthesizes itself (the job produced

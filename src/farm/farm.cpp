@@ -1,6 +1,6 @@
 // mtt::farm — thread-pool worker model, work-stealing dispatch, per-run
 // watchdog, retry-with-backoff, and the deterministic campaign merge.
-// The forked-process worker model lives in process_pool.cpp.
+// The forked-process worker model is a local fleet (fleet/local.hpp).
 #include "farm/farm.hpp"
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include "core/backoff.hpp"
 #include "core/stats.hpp"
 #include "farm/collector.hpp"
+#include "fleet/local.hpp"
 
 namespace mtt::farm {
 
@@ -137,7 +138,7 @@ class ThreadPool {
                                            attempt);
       }
       std::this_thread::sleep_for(
-          core::backoffDelay(retryPolicy(options_), attempt));
+          core::backoffDelay(retryPolicy(options_.retryBackoff), attempt));
       (void)self;
     }
   }
@@ -189,32 +190,88 @@ class ThreadPool {
   std::vector<Abandoned> abandoned_;
 };
 
-}  // namespace
-
 CampaignResult runJobsThreads(std::uint64_t total, const JobFn& fn,
                               const FarmOptions& options) {
   Stopwatch clock;
   Collector collector(total, options);
-  CampaignResult cr;
-  cr.requested = total;
-  cr.model = WorkerModel::Thread;
-  cr.workers = std::min<std::size_t>(resolveJobs(options.jobs),
-                                     std::max<std::uint64_t>(total, 1));
   if (total > 0) {
     ThreadPool pool(total, fn, options, collector);
     pool.run();
   }
-  cr.records = collector.finish();
-  cr.timeouts = collector.timeouts();
-  cr.crashes = collector.crashes();
-  cr.infraErrors = collector.infraErrors();
-  cr.retries = collector.retries();
-  cr.resumed = collector.resumed();
-  cr.quarantined = collector.quarantined();
-  cr.stoppedEarly = collector.stopped();
-  cr.abortDiagnostic = collector.ioError();
+  CampaignResult cr = collector.finish();
+  cr.requested = total;
+  cr.model = WorkerModel::Thread;
+  cr.workers = std::min<std::size_t>(resolveJobs(options.jobs),
+                                     std::max<std::uint64_t>(total, 1));
   cr.wallSeconds = clock.elapsedSeconds();
   return cr;
+}
+
+/// WorkerModel::Process: a local fleet whose forked workers run `fn`.
+CampaignResult runJobsIsolated(std::uint64_t total, const JobFn& fn,
+                               const FarmOptions& options) {
+  const std::size_t workers = std::min<std::size_t>(
+      resolveJobs(options.jobs), std::max<std::uint64_t>(total, 1));
+  fleet::LocalFleet local(
+      [&fn](const fleet::RunAssignment& a) { return fn(a.index); }, options,
+      workers);
+  CampaignResult cr = fleet::serveJobs(
+      local.coordinator(), total, options, [&options](std::uint64_t i) {
+        fleet::RunAssignment a;
+        a.index = i;
+        a.seed = options.seedForIndex ? options.seedForIndex(i) : i;
+        return a;
+      });
+  cr.model = WorkerModel::Process;
+  cr.workers = workers;
+  return cr;
+}
+
+}  // namespace
+
+bool processIsolationSupported() {
+#if defined(__unix__) || defined(__APPLE__)
+  return true;
+#else
+  return false;
+#endif
+}
+
+FarmOptions experimentOptions(const experiment::ExperimentSpec& spec,
+                              FarmOptions options) {
+  // Fail fast on configuration mistakes: a bad tool name must be a single
+  // clear error, not spec.runs retried infra failures.
+  experiment::validateToolConfig(spec.tool);
+  suite::makeProgram(spec.programName);  // throws on unknown program
+  options.seedForIndex = [&spec](std::uint64_t i) {
+    return spec.seedBase + i;
+  };
+  if (!options.journalPath.empty() && options.journalConfig.empty()) {
+    // Identity of the campaign for resume validation.  Worker count and
+    // model are deliberately excluded: the merge is independent of both, so
+    // a resume may change --jobs or isolation freely.
+    options.journalConfig = spec.programName + "|" + spec.tool.label() + "|" +
+                            std::to_string(spec.runs) + "|" +
+                            std::to_string(spec.seedBase);
+  }
+  return options;
+}
+
+ExperimentCampaign foldExperiment(const experiment::ExperimentSpec& spec,
+                                  CampaignResult campaign) {
+  ExperimentCampaign out;
+  out.campaign = std::move(campaign);
+  out.result.programName = spec.programName;
+  out.result.toolLabel = spec.tool.label();
+  out.result.runs = out.campaign.records.size();
+  for (auto& obs : out.campaign.records) {
+    // Farm-synthesized records don't know whether the tool stack had
+    // detectors attached; patch that in so detectorHit trials stay
+    // consistent with the serial path.
+    if (obs.supervised()) obs.hasDetectors = !spec.tool.detectors.empty();
+    experiment::accumulate(out.result, obs);
+  }
+  return out;
 }
 
 }  // namespace detail
@@ -278,30 +335,14 @@ CampaignResult runJobs(std::uint64_t total, const JobFn& fn,
                        const FarmOptions& options) {
   if (options.model == WorkerModel::Process &&
       detail::processIsolationSupported()) {
-    return detail::runJobsProcesses(total, fn, options);
+    return detail::runJobsIsolated(total, fn, options);
   }
   return detail::runJobsThreads(total, fn, options);
 }
 
 ExperimentCampaign runExperimentFarm(const experiment::ExperimentSpec& spec,
                                      const FarmOptions& options) {
-  // Fail fast on configuration mistakes: a bad tool name must be a single
-  // clear error, not spec.runs retried infra failures.
-  experiment::validateToolConfig(spec.tool);
-  suite::makeProgram(spec.programName);  // throws on unknown program
-
-  FarmOptions opts = options;
-  opts.seedForIndex = [&spec](std::uint64_t i) { return spec.seedBase + i; };
-  if (!opts.journalPath.empty() && opts.journalConfig.empty()) {
-    // Identity of the campaign for resume validation.  Worker count and
-    // model are deliberately excluded: the merge is independent of both, so
-    // a resume may change --jobs or isolation freely.
-    opts.journalConfig = spec.programName + "|" + spec.tool.label() + "|" +
-                         std::to_string(spec.runs) + "|" +
-                         std::to_string(spec.seedBase);
-  }
-  const bool hasDetectors = !spec.tool.detectors.empty();
-
+  const FarmOptions opts = detail::experimentOptions(spec, options);
   // Workers lease pooled tool stacks instead of rebuilding the tool set per
   // run; executeRun resets each leased stack, so results are unchanged.  The
   // pool is shared-ptr captured because a timed-out worker thread can
@@ -309,27 +350,15 @@ ExperimentCampaign runExperimentFarm(const experiment::ExperimentSpec& spec,
   auto pool = std::make_shared<experiment::ToolStackPool>(
       [tool = spec.tool]() { return experiment::makeToolStack(tool); });
 
-  ExperimentCampaign out;
-  out.campaign = runJobs(
-      spec.runs,
-      [&spec, pool](std::uint64_t i) {
-        auto lease = pool->acquire();
-        return experiment::executeRun(spec, static_cast<std::size_t>(i),
-                                      *lease);
-      },
-      opts);
-
-  out.result.programName = spec.programName;
-  out.result.toolLabel = spec.tool.label();
-  out.result.runs = out.campaign.records.size();
-  for (auto& obs : out.campaign.records) {
-    // Farm-synthesized records don't know whether the tool stack had
-    // detectors attached; patch that in so detectorHit trials stay
-    // consistent with the serial path.
-    if (obs.supervised()) obs.hasDetectors = hasDetectors;
-    experiment::accumulate(out.result, obs);
-  }
-  return out;
+  return detail::foldExperiment(
+      spec, runJobs(
+                spec.runs,
+                [&spec, pool](std::uint64_t i) {
+                  auto lease = pool->acquire();
+                  return experiment::executeRun(
+                      spec, static_cast<std::size_t>(i), *lease);
+                },
+                opts));
 }
 
 }  // namespace mtt::farm

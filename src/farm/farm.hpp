@@ -3,11 +3,12 @@
 // The paper's component 2 promises that a prepared experiment "can be
 // evaluated and compared to alternative approaches" with a script; this
 // subsystem makes that scale: a work-stealing scheduler shards a campaign's
-// seed space across a pool of worker threads (or, on POSIX, forked worker
-// processes for hard crash isolation), supervises every run with a
-// wall-clock watchdog, retries infrastructure failures with bounded
-// backoff, and records misbehaving runs (timeout / crash / infra-error) as
-// RunStatus outcomes instead of letting them abort the campaign.
+// seed space across a pool of worker threads (or, on POSIX, a local fleet
+// of forked worker processes for hard crash isolation — fleet/local.hpp),
+// supervises every run with a wall-clock watchdog, retries infrastructure
+// failures with bounded backoff, and records misbehaving runs (timeout /
+// crash / infra-error) as RunStatus outcomes instead of letting them abort
+// the campaign.
 //
 // Observability: each completed run is streamed as one JSONL record
 // (seed, status, wall time, events, warnings, outcome, attempts) the moment
@@ -38,10 +39,11 @@ enum class WorkerModel : std::uint8_t {
   /// a watchdogged host thread, but a run that crashes the process takes
   /// the campaign with it.
   Thread,
-  /// Forked worker processes (POSIX).  A run that aborts, segfaults, or
-  /// hangs kills only its worker: the parent records the outcome, respawns
-  /// the worker, and the campaign continues.  Falls back to Thread where
-  /// fork() is unavailable.
+  /// Forked worker processes (POSIX), supervised by a fleet coordinator
+  /// over socket pairs.  A run that aborts, segfaults, or hangs kills only
+  /// its worker: the parent records the outcome, respawns the worker, and
+  /// the campaign continues.  Falls back to Thread where fork() is
+  /// unavailable.
   Process,
 };
 
@@ -73,8 +75,9 @@ struct FarmOptions {
   /// Live "done/total, runs/s, timeouts, crashes" line on stderr.
   bool progress = false;
   /// Optional early cancellation: once a delivered record satisfies this,
-  /// no further runs are dispatched (in-flight runs drain).  Used by
-  /// parallel bug hunts to stop at the first manifestation.
+  /// no further runs are dispatched (in-flight runs drain under Thread and
+  /// are abandoned under Process).  Used by parallel bug hunts to stop at
+  /// the first manifestation.
   std::function<bool(const experiment::RunObservation&)> stopOnRecord;
   /// Maps a run index to its seed, for records the farm must synthesize
   /// itself (timeout / crash / infra-error, where the job produced
@@ -203,33 +206,32 @@ CandidateScan scanCandidates(std::uint64_t total,
 // the field-escaping helpers) lives in farm/record_io.hpp, shared with the
 // fleet wire protocol.
 
-// --- internal entry points shared by farm.cpp / process_pool.cpp ---------
+// --- internals shared with the fleet ---------------------------------------
 
 namespace detail {
 
-/// Sink shared by both worker models: thread-safe record delivery, JSONL
-/// streaming, progress reporting, and early-stop bookkeeping.
-class Collector;
-
-CampaignResult runJobsThreads(std::uint64_t total, const JobFn& fn,
-                              const FarmOptions& options);
-CampaignResult runJobsProcesses(std::uint64_t total, const JobFn& fn,
-                                const FarmOptions& options);
 /// True when fork()-based isolation is available on this platform.
 bool processIsolationSupported();
 
-/// Applies the RLIMIT_AS / RLIMIT_CPU caps (MiB / seconds, 0 = unlimited)
-/// to the calling process.  Used by forked farm workers and by the fleet
-/// worker service so a runaway run dies in isolation.  No-op off POSIX.
-void applyRunLimits(std::size_t memLimitMb, std::size_t cpuLimitSec);
+/// The options of an experiment campaign, shared by the farm and the
+/// fleet: validates the spec's tool and program names, maps run i to seed
+/// spec.seedBase + i and, when journaling, derives the journal's campaign
+/// identity (so farm and fleet journals of one campaign are
+/// interchangeable).
+FarmOptions experimentOptions(const experiment::ExperimentSpec& spec,
+                              FarmOptions options);
 
-/// The farm's unified run-retry schedule (core::backoffDelay): capped
-/// doubling from FarmOptions::retryBackoff, jitter-free — retry timing must
-/// be a pure function of the options for byte-stable campaigns.  Shared by
-/// the thread pool and the forked-worker pool.
-inline core::BackoffPolicy retryPolicy(const FarmOptions& options) {
+/// Folds a campaign's records, in run order, into the experiment result.
+ExperimentCampaign foldExperiment(const experiment::ExperimentSpec& spec,
+                                  CampaignResult campaign);
+
+/// The unified run-retry schedule (core::backoffDelay) of farm threads and
+/// fleet workers: capped doubling from `initial` (the retryBackoff option),
+/// jitter-free — retry timing must be a pure function of the options for
+/// byte-stable campaigns.
+inline core::BackoffPolicy retryPolicy(std::chrono::milliseconds initial) {
   core::BackoffPolicy p;
-  p.initial = options.retryBackoff;
+  p.initial = initial;
   p.cap = std::chrono::milliseconds(5000);
   p.factor = 2;
   p.jitter = 0.0;

@@ -11,6 +11,7 @@
 
 #include "core/atomic_file.hpp"
 #include "core/fault.hpp"
+#include "core/hash.hpp"
 #include "farm/farm.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,12 +24,7 @@
 namespace mtt::farm {
 
 std::uint64_t journalDigest(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return core::fnv1a64(text);
 }
 
 namespace {

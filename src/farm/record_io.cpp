@@ -1,5 +1,5 @@
 // Record serialization for mtt::farm: the JSONL observability stream and
-// the escaped-TSV framing used on the worker-process result pipe.
+// the escaped-TSV record framing of journal payloads and fleet frames.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -110,7 +110,7 @@ std::string toJson(const experiment::RunObservation& o) {
 
 // Pipe framing: '\t' separates fields, so embedded tabs/newlines/backslashes
 // are escaped.  The format only ever talks between processes of the same
-// build (farm worker pipe, journal payloads, fleet frames), so there is no
+// build (journal payloads, fleet frames), so there is no
 // versioning concern beyond the field count.
 void appendEscapedField(std::string& out, const std::string& s) {
   for (char c : s) {

@@ -1,8 +1,9 @@
 // Shared run-record codec: the JSONL observability encoding and the
-// escaped-TSV pipe framing that ships RunObservations across process
-// boundaries — the farm's forked-worker result pipe, the MTTJOURNAL record
-// payload, and the mtt::fleet wire protocol all speak this one format, so
-// a record journaled by any of them is readable by all of them.
+// escaped-TSV framing that ships RunObservations across process
+// boundaries — the MTTJOURNAL record payload and the mtt::fleet wire
+// protocol (remote workers and the forked workers of --isolate alike) both
+// speak this one format, so a record journaled by either is readable by
+// both.
 #pragma once
 
 #include <string>
@@ -16,8 +17,8 @@ namespace mtt::farm {
 /// jsonlPath (one object per line; `worker` is added by the streamer).
 std::string toJson(const experiment::RunObservation& o);
 
-/// Compact escaped tab-separated encoding used on the worker-process pipe,
-/// in journal record payloads, and in fleet RECORD frames; round-trips
+/// Compact escaped tab-separated encoding used in journal record payloads
+/// and in fleet RECORD frames; round-trips
 /// exactly (doubles via %.17g, coverage as MSNP1 hex).
 std::string encodePipeRecord(const experiment::RunObservation& o);
 

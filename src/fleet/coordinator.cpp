@@ -1,6 +1,6 @@
-// Coordinator implementation: a single-threaded poll loop (the same shape
-// as the farm's forked-worker parent) over a listening socket and N worker
-// connections, plus the lease table that makes reassignment and dedup
+// Coordinator implementation: a single-threaded poll loop over a listening
+// socket (remote fleets) and N worker connections, accepted or adopted
+// (local fleets), plus the lease table that makes reassignment and dedup
 // possible.
 #include "fleet/coordinator.hpp"
 
@@ -16,7 +16,6 @@
 #include "farm/collector.hpp"
 #include "farm/record_io.hpp"
 #include "fleet/net.hpp"
-#include "suite/program.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MTT_FLEET_HAS_SOCKETS 1
@@ -45,7 +44,8 @@ struct Coordinator::Impl {
     std::uint64_t id = 0;
     std::string peer;  ///< "ip:port" / "unix" — log attribution
     std::string rx;
-    bool active = false;  ///< HELLO validated, SPEC sent
+    bool active = false;  ///< HELLO validated, SPEC sent (or adopted)
+    bool adopted = false; ///< a local worker: LocalSupervisor owns it
     bool quarantined = false;
     std::size_t inflight = 0;
     std::size_t infraRecords = 0;
@@ -56,11 +56,13 @@ struct Coordinator::Impl {
     std::vector<RunAssignment> runs;
     std::set<std::uint64_t> remaining;
     std::uint64_t connId = 0;
+    Clock::time_point grantedAt;
   };
 
   experiment::RunSpec base;
   FleetOptions opts;
-  std::unique_ptr<Listener> listener;
+  std::unique_ptr<Listener> listener;  ///< null for a local coordinator
+  LocalSupervisor local;
   std::vector<std::unique_ptr<Conn>> conns;
   std::uint64_t nextConnId = 1;
   std::uint64_t nextLeaseId = 1;
@@ -80,6 +82,9 @@ struct Coordinator::Impl {
   std::map<std::uint64_t, Lease> leases;
   std::unordered_map<std::uint64_t, std::uint64_t> indexLease;
   std::unordered_map<std::uint64_t, std::size_t> indexFailures;
+  /// Leases granted before this batch are stale: their late records belong
+  /// to an earlier batch, whose indices may recur in this one.
+  std::uint64_t firstBatchLease = 1;
   BatchResult* batch = nullptr;
   const RecordSink* sink = nullptr;
   const std::function<bool(const experiment::RunObservation&)>* stopOn =
@@ -132,33 +137,41 @@ struct Coordinator::Impl {
     c.sock.close();
     if (c.active) --counters.workersActive;
     c.active = false;
-    requeueConnLeases(c.id, status, message);
+    std::vector<experiment::RunObservation> givenUp;
+    std::vector<std::uint64_t> ids;
+    for (const auto& [id, lease] : leases) {
+      if (lease.connId == c.id) ids.push_back(id);
+    }
+    for (std::uint64_t id : ids) requeueLease(id, status, message, givenUp);
+    // A local worker's process is stopped and reaped before its runs are
+    // recorded: a hung run's postmortem dump exists only after the drain.
+    if (c.adopted && local.lost) local.lost(c.id, givenUp);
+    for (experiment::RunObservation& obs : givenUp) {
+      deliverRecord(std::move(obs), /*connId=*/0);
+    }
   }
 
   void quarantineConn(Conn& c, const std::string& why) {
     if (c.quarantined) return;
     c.quarantined = true;
     ++counters.workersQuarantined;
-    std::fprintf(stderr, "[fleet] quarantining %s: %s\n",
-                 describeConn(c).c_str(), why.c_str());
+    // A local worker's lease timeout is its run's watchdog expiring: a
+    // run outcome, recorded as such, not news for the log.
+    if (!c.adopted) {
+      std::fprintf(stderr, "[fleet] quarantining %s: %s\n",
+                   describeConn(c).c_str(), why.c_str());
+    }
     if (c.sock.valid()) sendFrame(c, FrameType::Quit, why + errorContext(c));
     dropConn(c, "timeout",
              "fleet " + describeConn(c) + " quarantined (" + why + ")");
   }
 
-  void requeueConnLeases(std::uint64_t connId, const char* status,
-                         const std::string& message) {
-    std::vector<std::uint64_t> ids;
-    for (const auto& [id, lease] : leases) {
-      if (lease.connId == connId) ids.push_back(id);
-    }
-    for (std::uint64_t id : ids) requeueLease(id, status, message);
-  }
-
-  /// Returns the lease's unfinished assignments to the pending queue (or
-  /// gives up on indices that keep killing workers).
+  /// Returns the lease's unfinished assignments to the pending queue, or
+  /// gives up on indices that keep killing workers: their supervised
+  /// records are appended to `givenUp` for the caller to deliver.
   void requeueLease(std::uint64_t leaseId, const char* status,
-                    const std::string& message) {
+                    const std::string& message,
+                    std::vector<experiment::RunObservation>& givenUp) {
     auto it = leases.find(leaseId);
     if (it == leases.end()) return;
     Lease lease = std::move(it->second);
@@ -179,7 +192,7 @@ struct Coordinator::Impl {
         obs.failureMessage =
             message + " (" + std::to_string(failures) + " leases)";
         obs.attempts = static_cast<std::uint32_t>(failures);
-        deliverRecord(std::move(obs), /*connId=*/0);
+        givenUp.push_back(std::move(obs));
       } else {
         retry.push_back(a);
       }
@@ -259,6 +272,7 @@ struct Coordinator::Impl {
           dropConn(c, "timeout", msg);
           return;
         }
+        if (c.active) return;  // adopted: no SPEC, leases from the start
         sendFrame(c, FrameType::Spec, encodeSpec(base));
         if (c.sock.valid()) {
           c.active = true;
@@ -276,8 +290,12 @@ struct Coordinator::Impl {
           dropConn(c, "crashed", err + errorContext(c, leaseId));
           return;
         }
-        (void)leaseId;  // delivery and lease cleanup are keyed by index
         ++counters.recordsStreamed;
+        if (leaseId < firstBatchLease) {
+          ++counters.duplicatesDropped;  // a cancelled earlier batch's run
+          return;
+        }
+        // Otherwise delivery and lease cleanup are keyed by index.
         if (obs.status == "infra-error") {
           if (++c.infraRecords >= opts.quarantineAfter) {
             // Deliver first — the record itself is valid — then stop
@@ -303,10 +321,15 @@ struct Coordinator::Impl {
         if (!it->second.remaining.empty()) {
           // The worker claims completion but records are missing: treat
           // the gap like a lost lease.
+          std::vector<experiment::RunObservation> givenUp;
           requeueLease(leaseId, "crashed",
                        "fleet " + describeConn(c) + " completed lease " +
-                           std::to_string(leaseId) + " with missing records");
+                           std::to_string(leaseId) + " with missing records",
+                       givenUp);
           if (c.inflight > 0) --c.inflight;
+          for (experiment::RunObservation& obs : givenUp) {
+            deliverRecord(std::move(obs), /*connId=*/0);
+          }
           return;
         }
         finishLease(leaseId);
@@ -385,6 +408,7 @@ struct Coordinator::Impl {
         pending.pop_front();
         Lease lease;
         lease.connId = c.id;
+        lease.grantedAt = Clock::now();
         lease.runs = payload.runs;
         for (const RunAssignment& a : payload.runs) {
           lease.remaining.insert(a.index);
@@ -400,15 +424,20 @@ struct Coordinator::Impl {
     }
   }
 
+  /// When a held lease counts as hung: leaseTimeout after the later of
+  /// its grant and its worker's last frame.
+  Clock::time_point leaseDeadline(const Lease& lease, const Conn& owner) const {
+    return std::max(lease.grantedAt, owner.lastActivity) + opts.leaseTimeout;
+  }
+
   void checkLeaseTimeouts() {
+    if (opts.leaseTimeout.count() <= 0) return;
     const Clock::time_point now = Clock::now();
     std::vector<Conn*> hung;
     for (auto& [id, lease] : leases) {
       Conn* owner = connById(lease.connId);
       if (owner == nullptr || !owner->sock.valid()) continue;
-      if (now - owner->lastActivity > opts.leaseTimeout) {
-        hung.push_back(owner);
-      }
+      if (now > leaseDeadline(lease, *owner)) hung.push_back(owner);
     }
     std::sort(hung.begin(), hung.end());
     hung.erase(std::unique(hung.begin(), hung.end()), hung.end());
@@ -439,17 +468,37 @@ struct Coordinator::Impl {
     std::fflush(stderr);
   }
 
+  /// Poll wait: at most 50 ms, and never past the nearest lease deadline,
+  /// so a short lease timeout (a local run watchdog) fires on time.
+  int pollTimeoutMs() {
+    long long ms = 50;
+    if (opts.leaseTimeout.count() <= 0) return static_cast<int>(ms);
+    const Clock::time_point now = Clock::now();
+    for (const auto& [id, lease] : leases) {
+      const Conn* owner = connById(lease.connId);
+      if (owner == nullptr || !owner->sock.valid()) continue;
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            leaseDeadline(lease, *owner) - now)
+                            .count();
+      ms = std::min(ms, std::max<long long>(left + 1, 0));
+    }
+    return static_cast<int>(ms);
+  }
+
   void pollOnce() {
 #ifdef MTT_FLEET_HAS_SOCKETS
     std::vector<pollfd> fds;
-    fds.push_back(pollfd{listener->fd(), POLLIN, 0});
+    // Slot 0 is the listener; a local coordinator has none (fd -1 is
+    // skipped by poll).
+    fds.push_back(pollfd{listener ? listener->fd() : -1, POLLIN, 0});
     std::vector<Conn*> polled;
     for (auto& cp : conns) {
       if (!cp->sock.valid()) continue;
       fds.push_back(pollfd{cp->sock.fd(), POLLIN, 0});
       polled.push_back(cp.get());
     }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                          pollTimeoutMs());
     if (rc <= 0) return;
     if ((fds[0].revents & POLLIN) != 0) {
       for (;;) {
@@ -504,6 +553,31 @@ Coordinator::Coordinator(experiment::RunSpec base, const FleetOptions& options)
   if (options.onListen) options.onListen(impl_->listener->boundAddress());
 }
 
+Coordinator::Coordinator(const FleetOptions& options,
+                         LocalSupervisor supervisor)
+    : impl_(std::make_unique<Impl>()) {
+  impl_->opts = options;
+  impl_->local = std::move(supervisor);
+}
+
+std::uint64_t Coordinator::adopt(Socket sock, std::string peer) {
+  Impl& im = *impl_;
+  // Not during a pass over `conns`: replenish runs at the top of a batch
+  // turn, before any loop that holds an iterator.
+  auto conn = std::make_unique<Impl::Conn>();
+  conn->sock = std::move(sock);
+  conn->id = im.nextConnId++;
+  conn->peer = std::move(peer);
+  conn->adopted = true;
+  conn->active = true;
+  conn->lastActivity = Clock::now();
+  ++im.counters.workersConnected;
+  ++im.counters.workersActive;
+  const std::uint64_t id = conn->id;
+  im.conns.push_back(std::move(conn));
+  return id;
+}
+
 Coordinator::~Coordinator() {
   try {
     shutdown();
@@ -554,6 +628,7 @@ Coordinator::BatchResult Coordinator::runBatch(
   im.sink = &sink;
   im.stopOn = &stopOn;
   im.stopRequested = false;
+  im.firstBatchLease = im.nextLeaseId;
   im.lastProgress = Clock::now();
   im.totalWanted += runs.size();
 
@@ -571,6 +646,7 @@ Coordinator::BatchResult Coordinator::runBatch(
       result.stoppedEarly = true;
       break;
     }
+    if (!im.pending.empty() && im.local.replenish) im.local.replenish();
     im.grantLeases();
     im.pollOnce();
     im.checkLeaseTimeouts();
@@ -608,49 +684,29 @@ Coordinator::BatchResult Coordinator::runBatch(
   return result;
 }
 
-// --- the campaign entry point --------------------------------------------
+// --- the campaign entry points ---------------------------------------------
 
-farm::ExperimentCampaign runExperimentFleet(
-    const experiment::ExperimentSpec& spec, const FleetOptions& options) {
-  experiment::validateToolConfig(spec.tool);
-  suite::makeProgram(spec.programName);  // throws on unknown program
-
+farm::CampaignResult serveJobs(
+    Coordinator& coordinator, std::uint64_t total,
+    const farm::FarmOptions& options,
+    const std::function<RunAssignment(std::uint64_t)>& assignment) {
   Stopwatch wall;
-  farm::FarmOptions fopts = options.farm;
-  fopts.seedForIndex = [&spec](std::uint64_t i) { return spec.seedBase + i; };
-  if (!fopts.journalPath.empty() && fopts.journalConfig.empty()) {
-    // The exact farm fingerprint: a fleet journal and a farm journal of the
-    // same campaign are interchangeable (resume across the boundary works).
-    fopts.journalConfig = spec.programName + "|" + spec.tool.label() + "|" +
-                          std::to_string(spec.runs) + "|" +
-                          std::to_string(spec.seedBase);
-  }
-  // The coordinator renders the fleet progress line; the collector's
-  // farm-style line would fight it for the same stderr row.
-  farm::FarmOptions collectorOpts = fopts;
-  collectorOpts.progress = false;
-  farm::detail::Collector collector(spec.runs, collectorOpts);
-
-  Coordinator coordinator(static_cast<const experiment::RunSpec&>(spec),
-                          options);
+  farm::detail::Collector collector(total, options);
 
   std::vector<RunAssignment> assignments;
-  assignments.reserve(spec.runs);
-  for (std::uint64_t i = 0; i < spec.runs; ++i) {
+  assignments.reserve(total);
+  for (std::uint64_t i = 0; i < total; ++i) {
     if (collector.isDone(i)) continue;  // journaled; never re-dispatched
-    RunAssignment a;
-    a.index = i;
-    a.seed = spec.seedBase + i;
-    assignments.push_back(a);
+    assignments.push_back(assignment(i));
   }
 
   // Reorder buffer: records arrive in any order, the collector (journal,
-  // JSONL, fold) sees them only in contiguous global-index order.
+  // JSONL, fold) sees them only in contiguous run-index order.
   std::map<std::uint64_t, std::pair<experiment::RunObservation, std::size_t>>
       held;
   std::uint64_t cursor = 0;
   auto flush = [&] {
-    while (cursor < spec.runs) {
+    while (cursor < total) {
       if (collector.isDone(cursor)) {
         ++cursor;
         continue;
@@ -674,10 +730,11 @@ farm::ExperimentCampaign runExperimentFleet(
   const std::function<bool(const experiment::RunObservation&)> stopPred =
       [&](const experiment::RunObservation& obs) {
         if (collector.stopped()) return true;
-        return fopts.stopOnRecord && fopts.stopOnRecord(obs);
+        return options.stopOnRecord && options.stopOnRecord(obs);
       };
 
-  Coordinator::BatchResult br = coordinator.runBatch(assignments, sink, stopPred);
+  Coordinator::BatchResult br =
+      coordinator.runBatch(assignments, sink, stopPred);
 
   // A cancelled batch leaves non-contiguous stragglers in the buffer;
   // deliver them in index order (the journal stays index-sorted, with the
@@ -687,31 +744,35 @@ farm::ExperimentCampaign runExperimentFleet(
   }
   held.clear();
 
-  const bool hasDetectors = !spec.tool.detectors.empty();
-  farm::ExperimentCampaign out;
-  out.campaign.records = collector.finish();
-  out.campaign.requested = spec.runs;
-  out.campaign.workers = coordinator.counters().workersConnected;
-  out.campaign.timeouts = collector.timeouts();
-  out.campaign.crashes = collector.crashes();
-  out.campaign.infraErrors = collector.infraErrors();
-  out.campaign.retries = collector.retries();
-  out.campaign.resumed = collector.resumed();
-  out.campaign.quarantined = collector.quarantined();
-  out.campaign.stoppedEarly = br.stoppedEarly || collector.stopped();
-  out.campaign.abortDiagnostic =
-      !br.abortDiagnostic.empty() ? br.abortDiagnostic : collector.ioError();
-  out.campaign.wallSeconds = wall.elapsedSeconds();
+  farm::CampaignResult cr = collector.finish();
+  cr.requested = total;
+  cr.stoppedEarly = cr.stoppedEarly || br.stoppedEarly;
+  if (!br.abortDiagnostic.empty()) cr.abortDiagnostic = br.abortDiagnostic;
+  cr.wallSeconds = wall.elapsedSeconds();
+  return cr;
+}
 
-  out.result.programName = spec.programName;
-  out.result.toolLabel = spec.tool.label();
-  out.result.runs = out.campaign.records.size();
-  for (auto& obs : out.campaign.records) {
-    if (obs.supervised()) obs.hasDetectors = hasDetectors;
-    experiment::accumulate(out.result, obs);
-  }
+farm::ExperimentCampaign runExperimentFleet(
+    const experiment::ExperimentSpec& spec, const FleetOptions& options) {
+  // The farm's journal identity: a fleet journal and a farm journal of the
+  // same campaign are interchangeable (resume across the boundary works).
+  farm::FarmOptions fopts = farm::detail::experimentOptions(spec, options.farm);
+  // The coordinator renders the fleet progress line; the collector's
+  // farm-style line would fight it for the same stderr row.
+  fopts.progress = false;
+
+  Coordinator coordinator(static_cast<const experiment::RunSpec&>(spec),
+                          options);
+  farm::CampaignResult cr =
+      serveJobs(coordinator, spec.runs, fopts, [&spec](std::uint64_t i) {
+        RunAssignment a;
+        a.index = i;
+        a.seed = spec.seedBase + i;
+        return a;
+      });
+  cr.workers = coordinator.counters().workersConnected;
   coordinator.shutdown();
-  return out;
+  return farm::detail::foldExperiment(spec, std::move(cr));
 }
 
 }  // namespace mtt::fleet

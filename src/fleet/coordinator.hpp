@@ -24,6 +24,12 @@
 // finishing a lease that was already reassigned — are accepted once and
 // dropped thereafter, keyed by global index, so no index is ever lost or
 // double-folded.
+//
+// The same coordinator supervises the forked workers of
+// farm::WorkerModel::Process: built without a listener, it adopts
+// socket-pair ends instead of accepting connections, and a
+// LocalSupervisor stops, reaps and replaces the child processes
+// (fleet/local.hpp).
 #pragma once
 
 #include <chrono>
@@ -36,6 +42,7 @@
 
 #include "experiment/experiment.hpp"
 #include "farm/farm.hpp"
+#include "fleet/net.hpp"
 #include "fleet/protocol.hpp"
 
 namespace mtt::fleet {
@@ -100,6 +107,24 @@ struct FleetOptions {
   farm::FarmOptions farm;
 };
 
+/// Supervision of workers the coordinator's owner started itself and handed
+/// over with Coordinator::adopt() — the forked local workers behind
+/// farm::WorkerModel::Process (fleet/local.hpp).  A remote worker is gone
+/// once its connection is; a local one is a child process that must also
+/// be stopped, reaped and, while work remains, replaced.
+struct LocalSupervisor {
+  /// Called on each turn of a batch while runs wait for a lease: start and
+  /// adopt() workers for the empty slots.
+  std::function<void()> replenish;
+  /// Called once when an adopted worker's connection is dropped (EOF, lease
+  /// timeout, protocol error): stop and reap its process.  `givenUp` holds
+  /// the supervised crashed/timeout records of the runs it took down, not
+  /// yet delivered; the supervisor may amend them (message, postmortem).
+  std::function<void(std::uint64_t connId,
+                     std::vector<experiment::RunObservation>& givenUp)>
+      lost;
+};
+
 /// The long-lived coordinator service.  One instance may execute many
 /// batches (the guided campaign loop); workers connect and disconnect
 /// freely across batches.
@@ -109,12 +134,23 @@ class Coordinator {
   /// wire), binds the listen endpoint, and starts accepting workers.
   /// Throws std::runtime_error on configuration or socket errors.
   Coordinator(experiment::RunSpec base, const FleetOptions& options);
+  /// A coordinator without a listener: it serves only adopted workers,
+  /// which execute their own job instead of a SPEC.  `options.listen`,
+  /// `heartbeatInterval` and `noProgressTimeout` are ignored, and a
+  /// leaseTimeout of 0 disables lease timeouts.
+  Coordinator(const FleetOptions& options, LocalSupervisor supervisor);
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// The bound endpoint, e.g. "127.0.0.1:41833" after binding port 0.
   std::string address() const;
+
+  /// Takes over one end of a connected socket pair whose other end a local
+  /// worker serves.  The worker is trusted (it is this program): it gets
+  /// leases at once, without a SPEC.  Returns its connection id.  Call it
+  /// only from LocalSupervisor::replenish.
+  std::uint64_t adopt(Socket sock, std::string peer);
 
   struct BatchResult {
     /// First-delivery records keyed by global run index.
@@ -154,6 +190,17 @@ class Coordinator {
   std::unique_ptr<Impl> impl_;
 };
 
+/// Serves runs 0..total-1 of one campaign through `coordinator` — minus
+/// the runs a resumed journal already holds — and folds the records through
+/// the farm's collector (journal, JSONL, progress, stop rules) in run-index
+/// order, so the journal and the JSONL stream are those of a `--jobs 1`
+/// farm campaign.  `assignment(i)` says what run i executes.  The caller
+/// fills CampaignResult::workers and ::model.
+farm::CampaignResult serveJobs(
+    Coordinator& coordinator, std::uint64_t total,
+    const farm::FarmOptions& options,
+    const std::function<RunAssignment(std::uint64_t)>& assignment);
+
 /// Fleet-parallel drop-in for farm::runExperimentFarm: serves spec.runs to
 /// whatever workers connect to options.listen and folds the records
 /// deterministically.  Supports journal resume (the same MTTJOURNAL file
@@ -162,8 +209,9 @@ class Coordinator {
 farm::ExperimentCampaign runExperimentFleet(
     const experiment::ExperimentSpec& spec, const FleetOptions& options);
 
-/// The counters of the last runExperimentFleet call on this thread (the
-/// coordinator object itself is not exposed by that entry point).
+/// The counters of the last coordinator shut down on this thread: a
+/// runExperimentFleet call (whose coordinator object is not exposed), or
+/// the local fleet of an isolated farm or guided campaign.
 FleetCounters lastFleetCounters();
 
 }  // namespace mtt::fleet

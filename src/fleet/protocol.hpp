@@ -10,8 +10,7 @@
 // as the farm pipe records (farm/record_io.hpp): '\t' separates fields,
 // '\n' separates lines, embedded separators/backslashes are escaped, and
 // binary blobs (coverage snapshots) ride as MSNP1 hex.  One codec for the
-// worker pipe, the journal, and the wire keeps every record readable by
-// every layer.
+// journal and the wire keeps every record readable by every layer.
 //
 // Parsing discipline: tryParseFrame and every decode* function are total —
 // any byte prefix of a valid stream yields NeedMore or a complete frame,

@@ -7,9 +7,11 @@
 
 #include "core/backoff.hpp"
 #include "core/fault.hpp"
+#include "core/hash.hpp"
 #include "experiment/experiment.hpp"
 #include "farm/farm.hpp"
 #include "farm/record_io.hpp"
+#include "fleet/local.hpp"
 #include "fleet/net.hpp"
 #include "fleet/protocol.hpp"
 #include "suite/program.hpp"
@@ -31,6 +33,10 @@ WorkerStats runWorker(const WorkerOptions&) {
   throw std::runtime_error("mtt::fleet requires POSIX sockets");
 }
 
+WorkerStats serveLocal(Socket, const LocalJob&, const WorkerOptions&) {
+  throw std::runtime_error("mtt::fleet requires POSIX sockets");
+}
+
 #else
 
 namespace {
@@ -45,13 +51,13 @@ struct ConnectionClosed {
 
 class WorkerSession {
  public:
-  WorkerSession(const WorkerOptions& options)
-      : options_(options),
-        sock_(connectTo(parseAddress(options.connect),
-                        options.connectTimeout, options.stopFlag)) {}
+  /// `job` null: a remote worker, executing what the SPEC describes.
+  WorkerSession(const WorkerOptions& options, Socket sock,
+                const LocalJob* job = nullptr)
+      : options_(options), sock_(std::move(sock)), job_(job) {}
 
   WorkerStats run() {
-    farm::detail::applyRunLimits(options_.memLimitMb, options_.cpuLimitSec);
+    applyRunLimits(options_.memLimitMb, options_.cpuLimitSec);
     try {
       return serve();
     } catch (const ConnectionClosed&) {
@@ -176,6 +182,7 @@ class WorkerSession {
   }
 
   void adoptSpec(const std::string& payload) {
+    if (job_ != nullptr) return;  // a local worker runs its own job
     experiment::RunSpec spec;
     std::string err;
     if (!decodeSpec(payload, spec, err)) {
@@ -209,7 +216,7 @@ class WorkerSession {
   }
 
   void executeLease(const std::string& payload) {
-    if (!haveSpec_) {
+    if (!haveSpec_ && job_ == nullptr) {
       const std::string msg = "LEASE before SPEC";
       send(FrameType::Error, msg);
       throw std::runtime_error("fleet worker: " + msg);
@@ -231,7 +238,10 @@ class WorkerSession {
     ++stats_.leases;
   }
 
-  experiment::RunObservation executeAssignment(const RunAssignment& a) {
+  /// One attempt at run `a`: the local job, or the SPEC's run with the
+  /// assignment's noise arm and policy substituted.
+  experiment::RunObservation execute(const RunAssignment& a) {
+    if (job_ != nullptr) return (*job_)(a);
     experiment::RunSpec rs = spec_;
     if (!a.noiseName.empty()) {
       rs.tool.noiseName = a.noiseName;
@@ -241,14 +251,18 @@ class WorkerSession {
     // rs.tool.policy, so no stack state changes (stacks stay keyed by noise).
     if (!a.policy.empty()) rs.tool.policy = a.policy;
     rs.seedBase = a.seed;  // executeRun(rs, 0) then runs exactly `seed`
+    experiment::ToolStack& stack = stackFor(rs.tool);
+    if (stack.noiseMaker() != nullptr) {
+      stack.noiseMaker()->setOptions(rs.tool.noiseOpts);
+    }
+    return experiment::executeRun(rs, 0, stack);
+  }
+
+  experiment::RunObservation executeAssignment(const RunAssignment& a) {
     std::string lastError;
     for (std::uint32_t attempt = 1;; ++attempt) {
       try {
-        experiment::ToolStack& stack = stackFor(rs.tool);
-        if (stack.noiseMaker() != nullptr) {
-          stack.noiseMaker()->setOptions(rs.tool.noiseOpts);
-        }
-        experiment::RunObservation obs = experiment::executeRun(rs, 0, stack);
+        experiment::RunObservation obs = execute(a);
         obs.attempts = attempt;
         ++stats_.runsExecuted;
         return obs;
@@ -266,16 +280,14 @@ class WorkerSession {
         obs.attempts = attempt;
         return obs;
       }
-      core::BackoffPolicy bp;
-      bp.initial = options_.retryBackoff;
-      bp.cap = std::chrono::milliseconds(5000);
-      bp.jitter = 0.0;  // deterministic retry timing, like the farm's
-      std::this_thread::sleep_for(core::backoffDelay(bp, attempt));
+      std::this_thread::sleep_for(core::backoffDelay(
+          farm::detail::retryPolicy(options_.retryBackoff), attempt));
     }
   }
 
   const WorkerOptions& options_;
   Socket sock_;
+  const LocalJob* job_ = nullptr;
   std::string rx_;
   WorkerStats stats_;
   experiment::RunSpec spec_;
@@ -292,15 +304,6 @@ void accumulateStats(WorkerStats& total, const WorkerStats& s) {
   total.exitReason = s.exitReason;
 }
 
-std::uint64_t addressSeed(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 WorkerStats runWorker(const WorkerOptions& options) {
@@ -314,14 +317,16 @@ WorkerStats runWorker(const WorkerOptions& options) {
   core::BackoffPolicy dialPolicy;
   dialPolicy.initial = std::chrono::milliseconds(50);
   dialPolicy.cap = std::chrono::milliseconds(2000);
-  dialPolicy.seed = addressSeed(options.connect);
+  dialPolicy.seed = core::fnv1a64(options.connect);
   core::Backoff dialBackoff(dialPolicy);
   bool everConnected = false;
   std::size_t failedDials = 0;
   for (;;) {
     std::unique_ptr<WorkerSession> session;
     try {
-      session = std::make_unique<WorkerSession>(options);
+      session = std::make_unique<WorkerSession>(
+          options, connectTo(parseAddress(options.connect),
+                             options.connectTimeout, options.stopFlag));
     } catch (const std::exception& e) {
       // Dial failure.  On the very first dial (or without reconnect) this
       // is fatal, as it always was; in reconnect mode a bounded run of
@@ -353,6 +358,11 @@ WorkerStats runWorker(const WorkerOptions& options) {
     ++total.reconnects;
     std::this_thread::sleep_for(dialBackoff.next());
   }
+}
+
+WorkerStats serveLocal(Socket sock, const LocalJob& job,
+                       const WorkerOptions& options) {
+  return WorkerSession(options, std::move(sock), &job).run();
 }
 
 #endif  // MTT_FLEET_HAS_SOCKETS

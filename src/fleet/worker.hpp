@@ -6,18 +6,27 @@
 // (possibly on more machines), not from threads inside one worker: a
 // single-threaded executor keeps the worker itself the crash-isolation
 // boundary — a run that segfaults or hangs takes down only its worker,
-// and the coordinator reassigns the lease (the forked farm worker's
-// containment story, stretched over a socket).
+// and the coordinator reassigns the lease.
 //
 // Harness errors inside a run are retried with backoff and surface as
 // infra-error records after maxRetries, exactly like the farm's retry
 // machinery; the coordinator quarantines workers that stream too many.
+//
+// The same session also runs in the forked local workers of
+// farm::WorkerModel::Process (fleet/local.hpp): there it serves an
+// inherited socket-pair end and executes the job closure it inherited at
+// fork instead of building an executor from the SPEC.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
+
+#include "experiment/experiment.hpp"
+#include "fleet/net.hpp"
+#include "fleet/protocol.hpp"
 
 namespace mtt::fleet {
 
@@ -70,5 +79,15 @@ struct WorkerStats {
 /// on connect/handshake failures and on spec validation errors (unknown
 /// program or tool names on this build).
 WorkerStats runWorker(const WorkerOptions& options);
+
+/// What a local worker executes for one leased run.
+using LocalJob =
+    std::function<experiment::RunObservation(const RunAssignment&)>;
+
+/// The worker session of a local worker: serves `sock` (already connected
+/// to an adopting coordinator) with `job` as the executor, until QUIT or
+/// EOF.  `options.connect` and the reconnect fields are ignored.
+WorkerStats serveLocal(Socket sock, const LocalJob& job,
+                       const WorkerOptions& options);
 
 }  // namespace mtt::fleet

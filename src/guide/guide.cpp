@@ -10,8 +10,10 @@
 
 #include "core/atomic_file.hpp"
 #include "core/rng.hpp"
+#include "core/stats.hpp"
 #include "core/table.hpp"
 #include "farm/journal.hpp"
+#include "fleet/local.hpp"
 #include "replay/replay.hpp"
 #include "triage/corpus.hpp"
 #include "triage/signature.hpp"
@@ -577,26 +579,115 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
     }
   };
 
-  struct Slot {
-    std::uint64_t idx;
-    std::size_t arm;
-    std::uint64_t seed;
-  };
-
   // Fixed index-aligned batches of one worker-pool width each.  Arms are
   // assigned for the whole batch up front (a provisional pull each, so the
-  // batch spreads across arms), the farm executes the non-journaled slots,
-  // and the results fold back in global index order.  Batch boundaries
-  // depend on --jobs, but the fold sequence does not — all determinism
-  // claims are about the folded prefix.
+  // batch spreads across arms), a BatchRunner executes the non-journaled
+  // runs, and the results fold back in global index order.  Batch
+  // boundaries depend on --jobs, but the fold sequence does not — all
+  // determinism claims are about the folded prefix.
   const std::uint64_t batchSize =
       std::max<std::size_t>(farm::resolveJobs(opts.farm.jobs), 1);
+
+  // One run of an arm, as every in-process executor performs it.
+  auto runArm = [&](std::size_t armIdx, std::uint64_t seed) {
+    const Arm& arm = arms[armIdx];
+    experiment::RunSpec rs = armSpec(base, arm);
+    rs.seedBase = seed;
+    auto lease = pools.at(arm.noise)->acquire();
+    if (lease->noiseMaker() != nullptr) {
+      noise::NoiseOptions no = base.tool.noiseOpts;
+      no.strength = arm.strength;
+      lease->noiseMaker()->setOptions(no);
+    }
+    return experiment::executeRun(rs, 0, *lease);
+  };
+  // A local worker learns its run's arm from the lease: noise, strength
+  // and policy, with a mutation arm's policy field naming its witness
+  // ("~<fingerprint>", the label's suffix; no policy spec starts with '~').
+  auto wirePolicy = [](const Arm& a) {
+    return a.witness ? "~" + a.mutationFingerprint : a.policy;
+  };
+  auto armOf = [&](const fleet::RunAssignment& a) {
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      if (arms[i].noise == a.noiseName && arms[i].strength == a.strength &&
+          wirePolicy(arms[i]) == a.policy) {
+        return i;
+      }
+    }
+    throw std::runtime_error("guide: a lease names no arm of this campaign");
+  };
+
+  // The in-process BatchRunner: the farm's thread pool, or under
+  // WorkerModel::Process one local fleet of forked workers, created at the
+  // first batch that executes a run and serving every later batch.  Each
+  // batch is a farm campaign over batch-local indices (JSONL, progress and
+  // stop rules as the farm has them); only the guide journals.
+  const bool isolated = opts.farm.model == farm::WorkerModel::Process &&
+                        farm::detail::processIsolationSupported();
+  std::unique_ptr<fleet::LocalFleet> localFleet;
+  bool streamed = false;
+  BatchRunner inProcess = [&](const std::vector<GuideBatchRun>& batch) {
+    farm::FarmOptions inner = opts.farm;
+    inner.journalPath.clear();
+    inner.resume = false;
+    inner.journalConfig.clear();
+    // One JSONL stream across all batches of this invocation.
+    inner.jsonlAppend = opts.farm.jsonlAppend || streamed || !journaled.empty();
+    streamed = true;
+    inner.stopOnRecord = nullptr;
+    if (opts.stopOnFirstFind) {
+      inner.stopOnRecord = [](const experiment::RunObservation& o) {
+        return !observationFingerprint(o).empty();
+      };
+    }
+    inner.seedForIndex = [&batch](std::uint64_t local) {
+      return batch[static_cast<std::size_t>(local)].seed;
+    };
+    farm::CampaignResult cr;
+    if (isolated) {
+      if (!localFleet) {
+        localFleet = std::make_unique<fleet::LocalFleet>(
+            [&](const fleet::RunAssignment& a) {
+              return runArm(armOf(a), a.seed);
+            },
+            opts.farm, static_cast<std::size_t>(std::min(batchSize, budget)));
+      }
+      cr = fleet::serveJobs(
+          localFleet->coordinator(), batch.size(), inner,
+          [&](std::uint64_t local) {
+            const GuideBatchRun& r = batch[static_cast<std::size_t>(local)];
+            return fleet::RunAssignment{local, r.seed, r.noiseName,
+                                        r.strength,
+                                        wirePolicy(arms[r.armIndex])};
+          });
+    } else {
+      cr = farm::runJobs(
+          batch.size(),
+          [&](std::uint64_t local) {
+            const GuideBatchRun& r = batch[static_cast<std::size_t>(local)];
+            experiment::RunObservation obs = runArm(r.armIndex, r.seed);
+            obs.runIndex = local;  // the farm keys records by it
+            return obs;
+          },
+          inner);
+    }
+    GuideBatchOutcome out;
+    out.retries = cr.retries;
+    out.stoppedEarly = cr.stoppedEarly;
+    for (experiment::RunObservation& r : cr.records) {
+      if (r.runIndex >= batch.size()) continue;  // defensive
+      const std::uint64_t idx = batch[static_cast<std::size_t>(r.runIndex)].index;
+      out.records.emplace(idx, std::move(r));
+    }
+    return out;
+  };
+  const BatchRunner& runBatch = opts.batchRunner ? opts.batchRunner : inProcess;
 
   for (std::uint64_t start = 0; start < budget && !stopped;
        start += batchSize) {
     const std::uint64_t end = std::min(budget, start + batchSize);
-    std::vector<Slot> slots;
-    std::vector<Slot> toRun;
+    std::vector<GuideBatchRun> slots;
+    std::vector<GuideBatchRun> toRun;
     for (std::uint64_t idx = start; idx < end; ++idx) {
       std::size_t armIdx;
       std::uint64_t seed;
@@ -611,94 +702,35 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
         assigned.emplace(idx, std::make_pair(armIdx, seed));
         logWriter.append(idx, armIdx, seed);
       }
-      slots.push_back(Slot{idx, armIdx, seed});
-      if (journaled.find(idx) == journaled.end()) {
-        toRun.push_back(Slot{idx, armIdx, seed});
-      }
+      const Arm& arm = arms[armIdx];
+      slots.push_back(GuideBatchRun{idx, seed, armIdx, arm.noise,
+                                    arm.strength, arm.policy});
+      if (journaled.find(idx) == journaled.end()) toRun.push_back(slots.back());
     }
 
-    std::map<std::uint64_t, experiment::RunObservation> fresh;
-    bool batchCancelled = false;
-    if (!toRun.empty() && opts.batchRunner) {
-      // External executor (fleet): ship (index, seed, arm) and take the
-      // records back.  The fold below is identical to the farm path, so
-      // where a run executed cannot leak into the folded prefix.
-      std::vector<GuideBatchRun> req;
-      req.reserve(toRun.size());
-      for (const Slot& s : toRun) {
-        req.push_back(GuideBatchRun{s.idx, s.seed, s.arm, arms[s.arm].noise,
-                                    arms[s.arm].strength,
-                                    arms[s.arm].policy});
-      }
-      GuideBatchOutcome out = opts.batchRunner(req);
-      g.retries += out.retries;
-      batchCancelled = out.stoppedEarly;
-      for (auto& [idx, r] : out.records) {
-        r.runIndex = idx;  // the map key is authoritative
-        fresh.emplace(idx, std::move(r));
-      }
-    } else if (!toRun.empty()) {
-      farm::FarmOptions inner = opts.farm;
-      inner.journalPath.clear();
-      inner.resume = false;
-      inner.journalConfig.clear();
-      // One JSONL stream across all batches of this invocation.
-      inner.jsonlAppend =
-          opts.farm.jsonlAppend || start > 0 || !journaled.empty();
-      inner.stopOnRecord = nullptr;
-      if (opts.stopOnFirstFind) {
-        inner.stopOnRecord = [](const experiment::RunObservation& o) {
-          return !observationFingerprint(o).empty();
-        };
-      }
-      inner.seedForIndex = [&toRun](std::uint64_t local) {
-        return toRun[static_cast<std::size_t>(local)].seed;
-      };
-
-      farm::CampaignResult cr = farm::runJobs(
-          toRun.size(),
-          [&](std::uint64_t local) {
-            const Slot& s = toRun[static_cast<std::size_t>(local)];
-            const Arm& arm = arms[s.arm];
-            experiment::RunSpec rs = armSpec(base, arm);
-            rs.seedBase = s.seed;
-            auto lease = pools.at(arm.noise)->acquire();
-            if (lease->noiseMaker() != nullptr) {
-              noise::NoiseOptions no = base.tool.noiseOpts;
-              no.strength = arm.strength;
-              lease->noiseMaker()->setOptions(no);
-            }
-            experiment::RunObservation obs =
-                experiment::executeRun(rs, 0, *lease);
-            // Local index on the wire (the farm keys records by it);
-            // remapped to the campaign-global index below.
-            obs.runIndex = local;
-            return obs;
-          },
-          inner);
-      g.retries += cr.retries;
-      g.wallSeconds += cr.wallSeconds;
-      batchCancelled = cr.stoppedEarly;
-      for (auto& r : cr.records) {
-        const std::size_t local = static_cast<std::size_t>(r.runIndex);
-        if (local >= toRun.size()) continue;  // defensive
-        r.runIndex = toRun[local].idx;
-        fresh.emplace(r.runIndex, std::move(r));
-      }
+    GuideBatchOutcome fresh;
+    if (!toRun.empty()) {
+      // Where a run executed cannot leak into the folded prefix: the fold
+      // below is the same for every runner.
+      Stopwatch wall;
+      fresh = runBatch(toRun);
+      g.wallSeconds += wall.elapsedSeconds();
+      g.retries += fresh.retries;
     }
 
-    for (const Slot& s : slots) {
+    for (const GuideBatchRun& s : slots) {
       if (stopped) break;
-      auto jt = journaled.find(s.idx);
+      auto jt = journaled.find(s.index);
       if (jt != journaled.end()) {
-        fold(jt->second, s.arm, /*fromJournal=*/true);
+        fold(jt->second, s.armIndex, /*fromJournal=*/true);
         continue;
       }
-      auto ft = fresh.find(s.idx);
-      if (ft == fresh.end()) continue;  // cancelled before executing
-      fold(ft->second, s.arm, /*fromJournal=*/false);
+      auto ft = fresh.records.find(s.index);
+      if (ft == fresh.records.end()) continue;  // cancelled before executing
+      ft->second.runIndex = s.index;  // the map key is authoritative
+      fold(ft->second, s.armIndex, /*fromJournal=*/false);
     }
-    if (batchCancelled && !stopped) {
+    if (fresh.stoppedEarly && !stopped) {
       // stopFlag / in-batch early stop drained the batch without a fold
       // rule firing: surface the cancellation.
       stopped = true;

@@ -8,7 +8,7 @@
 //
 //   1. every run's tool stack carries a coverage model; executeRun extracts
 //      a coverage::Snapshot delta that rides in RunObservation::coverage
-//      through the worker pipe, the JSONL stream, and the journal;
+//      through the worker socket, the JSONL stream, and the journal;
 //   2. a UCB1 bandit (src/guide/bandit.hpp) allocates each next run to one
 //      of the configured arms — noise heuristic × strength, plus
 //      corpus-seeded schedule-mutation arms built from triage witnesses —
@@ -166,6 +166,8 @@ struct GuideOptions {
   /// Farm passthrough: jobs, runTimeout, model, jsonl, progress, limits,
   /// stopFlag... journalPath/resume are honored by the GUIDE (which owns
   /// the journal so batches share one file); inner batches never journal.
+  /// Under WorkerModel::Process every batch runs on one local fleet of
+  /// forked workers, created at the first batch that executes a run.
   /// With a batchRunner, jobs still fixes the batch width (and with it the
   /// bandit decision sequence) but spawns no local workers.
   farm::FarmOptions farm;

@@ -55,13 +55,6 @@ struct Scenario {
   std::string noise = "none";    ///< noise heuristic active while recording
   double strength = 0.25;        ///< noise strength while recording
   rt::Schedule schedule;
-
-  /// Pre-v3 accessor: the thread picks of the schedule, store picks
-  /// projected out.  Kept as a migration shim only.
-  [[deprecated("use schedule.decisions (tagged rt::Decision API)")]]
-  std::vector<ThreadId> decisionThreads() const {
-    return schedule.threadPicks();
-  }
 };
 
 /// Upper bounds rejected by the loader before any allocation happens, so a

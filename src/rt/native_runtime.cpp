@@ -88,7 +88,13 @@ void NativeRuntime::trampoline(Tcb* self, std::function<void()> fn) {
       abort_.store(true, std::memory_order_release);
     }
   }
-  self->finished.store(true, std::memory_order_release);
+  {
+    // Under mu_: a joiner checks `finished` under mu_ and then sleeps; a
+    // store and notify between the two would be lost, and the join would
+    // wait forever.
+    std::lock_guard<std::mutex> lk(mu_);
+    self->finished.store(true, std::memory_order_release);
+  }
   joinCv_.notify_all();
   tl_native_current = nullptr;
 }

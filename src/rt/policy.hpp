@@ -331,14 +331,6 @@ class RecordingPolicy final : public SchedulePolicy {
   void onRunEnd() override { inner_->onRunEnd(); }
   const Schedule& schedule() const { return schedule_; }
 
-  /// Pre-Decision-API accessor: the recorded thread picks as a bare id
-  /// vector.  Superseded by schedule().decisions, which also carries the
-  /// weak-memory StorePick decisions this projection silently drops.
-  [[deprecated("use schedule().decisions (tagged Decision API)")]]
-  std::vector<ThreadId> decisionThreads() const {
-    return schedule_.threadPicks();
-  }
-
  private:
   std::unique_ptr<SchedulePolicy> inner_;
   Schedule schedule_;

@@ -89,8 +89,9 @@ class CrashDeref final : public Program {
 // ---------------------------------------------------------------------------
 // wall_stall: order violation with a wall-clock hang.  When the consumer
 // observes the un-set flag it stalls the worker for MTT_STALL_MS real
-// milliseconds (default 60000) — long enough for the farm watchdog to
-// expire and exercise the SIGTERM postmortem drain.  With MTT_STALL_MS=0
+// milliseconds (default 2000) — longer than the farm watchdog plus its
+// ~500 ms SIGTERM drain in the postmortem tests, short enough that a run
+// without a watchdog finishes in seconds.  With MTT_STALL_MS=0
 // the stall is skipped and the run fails softly and instantly, which is
 // what replay/shrink of the resulting postmortem scenario uses.
 // ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ class WallStall final : public Program {
   std::string name() const override { return "wall_stall"; }
   std::string description() const override {
     return "order violation that real-sleeps the worker when it manifests "
-           "(MTT_STALL_MS, default 60000); exercises watchdog timeouts and "
+           "(MTT_STALL_MS, default 2000); exercises watchdog timeouts and "
            "the pre-kill postmortem drain";
   }
   std::vector<BugInfo> bugs() const override {
@@ -123,7 +124,7 @@ class WallStall final : public Program {
       int g = go.read(site("stall.check", BugMark::Yes));
       if (g == 0) {
         stalled_ = true;
-        long ms = 60000;
+        long ms = 2000;
         if (const char* env = std::getenv("MTT_STALL_MS")) {
           ms = std::atol(env);
         }

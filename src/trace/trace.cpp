@@ -64,20 +64,6 @@ std::size_t Trace::countKind(EventKind k) const {
 
 namespace {
 
-const char* kindName(rt::ObjectKind k) {
-  switch (k) {
-    case rt::ObjectKind::Mutex: return "mutex";
-    case rt::ObjectKind::RwLock: return "rwlock";
-    case rt::ObjectKind::CondVar: return "condvar";
-    case rt::ObjectKind::Semaphore: return "semaphore";
-    case rt::ObjectKind::Barrier: return "barrier";
-    case rt::ObjectKind::Variable: return "variable";
-    case rt::ObjectKind::Thread: return "thread";
-    case rt::ObjectKind::TaskQueue: return "taskqueue";
-  }
-  return "variable";
-}
-
 rt::ObjectKind kindFromName(const std::string& s) {
   if (s == "mutex") return rt::ObjectKind::Mutex;
   if (s == "rwlock") return rt::ObjectKind::RwLock;
@@ -86,6 +72,7 @@ rt::ObjectKind kindFromName(const std::string& s) {
   if (s == "barrier") return rt::ObjectKind::Barrier;
   if (s == "thread") return rt::ObjectKind::Thread;
   if (s == "taskqueue") return rt::ObjectKind::TaskQueue;
+  if (s == "atomic") return rt::ObjectKind::Atomic;
   return rt::ObjectKind::Variable;
 }
 
@@ -106,7 +93,7 @@ void writeText(const Trace& t, std::ostream& os) {
     os << "thread " << id << ' ' << name << '\n';
   }
   for (const auto& [id, sym] : t.objects) {
-    os << "object " << id << ' ' << kindName(sym.kind) << ' ' << sym.name
+    os << "object " << id << ' ' << rt::to_string(sym.kind) << ' ' << sym.name
        << '\n';
   }
   for (const auto& [id, sym] : t.sites) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/hash.hpp"
 #include "core/site.hpp"
 
 namespace mtt::triage {
@@ -75,15 +76,10 @@ std::string FailureSignature::canonical() const {
 
 std::string FailureSignature::fingerprint() const {
   // FNV-1a 64-bit over the canonical text: stable across platforms and
-  // process runs (no pointers, no std::hash).
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : canonical()) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+  // process runs.
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(core::fnv1a64(canonical())));
   return buf;
 }
 

@@ -1,7 +1,8 @@
 // Tests for mtt::guide — the UCB1 bandit, the Good–Turing stopping rule,
-// corpus-seeded schedule mutation, and the two properties the guided
-// campaign promises: byte-identical replay for any --jobs, and a closed
-// universe never declared saturated before it is fully covered.
+// corpus-seeded schedule mutation, and the properties the guided campaign
+// promises: byte-identical replay for any --jobs, the same report whether
+// runs execute in threads or in forked workers, and a closed universe never
+// declared saturated before it is fully covered.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,8 +10,11 @@
 #include <fstream>
 
 #include "farm/journal.hpp"
+#include "fleet/coordinator.hpp"
 #include "guide/bandit.hpp"
 #include "guide/guide.hpp"
+#include "triage/corpus.hpp"
+#include "triage/probe.hpp"
 
 namespace mtt::guide {
 namespace {
@@ -323,6 +327,66 @@ TEST(Guided, ReplayIsByteIdenticalForAnyJobsValue) {
     }
     EXPECT_EQ(g2.decisionLogPath, "");  // replay writes no log
   }
+}
+
+TEST(Guided, IsolatedCampaignForksItsWorkersOnce) {
+  // Under WorkerModel::Process the batches run on one local fleet: --jobs
+  // workers forked at the first batch and reused by all twelve, and the
+  // folded campaign is the thread model's, byte for byte.
+  if (!farm::detail::processIsolationSupported()) GTEST_SKIP();
+  GuideOptions threads = smallCampaign();
+  threads.budget = 24;
+  threads.farm.jobs = 2;
+  GuideOptions isolated = threads;
+  isolated.farm.model = farm::WorkerModel::Process;
+
+  GuideResult t = runGuided(accountSpec(), threads);
+  GuideResult p = runGuided(accountSpec(), isolated);
+  EXPECT_EQ(fleet::lastFleetCounters().workersConnected, 2u);
+  ASSERT_EQ(p.runs(), 24u);
+  EXPECT_EQ(guideReport(t, false), guideReport(p, false));
+}
+
+TEST(Guided, IsolatedWorkersRunMutationArmsFromTheCorpus) {
+  // Witness schedules never cross the wire: forked workers inherit them.
+  // The mutation arm shares its noise and strength with a plain arm, so a
+  // worker must tell the two apart from the lease alone.
+  if (!farm::detail::processIsolationSupported()) GTEST_SKIP();
+  const std::string dir = ::testing::TempDir() + "guide_isolated_corpus";
+  std::filesystem::remove_all(dir);
+  triage::Corpus corpus(dir);
+  for (std::uint64_t seed = 0; seed < 64 && corpus.entries().empty(); ++seed) {
+    triage::ReplayToolConfig cfg;
+    cfg.noiseName = "mixed";
+    cfg.seed = seed;
+    triage::ProbeResult r = triage::recordRun("account", "random", cfg);
+    if (!r.signature.failure()) continue;
+    replay::Scenario sc;
+    sc.program = "account";
+    sc.seed = seed;
+    sc.noise = cfg.noiseName;
+    sc.strength = cfg.strength;
+    sc.schedule = r.recorded;
+    corpus.insert(sc, r.signature, true, false, 1);
+  }
+  ASSERT_EQ(corpus.entries().size(), 1u);
+
+  GuideOptions threads = smallCampaign();
+  threads.heuristics = {"mixed"};
+  threads.strengths = {0.25};
+  threads.corpusDir = dir;
+  threads.budget = 20;
+  threads.farm.jobs = 2;
+  GuideOptions isolated = threads;
+  isolated.farm.model = farm::WorkerModel::Process;
+
+  GuideResult t = runGuided(accountSpec(), threads);
+  GuideResult p = runGuided(accountSpec(), isolated);
+  ASSERT_EQ(t.arms.size(), 2u);
+  EXPECT_FALSE(t.arms[1].arm.mutationFingerprint.empty());
+  EXPECT_GT(p.arms[1].stats.pulls, 0u);
+  EXPECT_EQ(guideReport(t, false), guideReport(p, false));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Guided, PolicyArmedReplayIsByteIdenticalForAnyJobsValue) {

@@ -423,47 +423,5 @@ TEST(Mmrace, AcquireFenceClaimsRelaxedObservationOfReleaseStore) {
   EXPECT_GE(runOnce(/*withFence=*/false), runOnce(/*withFence=*/true));
 }
 
-#ifdef MTT_SOURCE_DIR
-// Satellite: the pre-Decision accessors (`decisionThreads()`) are
-// [[deprecated]] migration shims; no in-tree code may call them.  (The shim
-// declarations themselves live in policy.hpp / replay.hpp and are excluded
-// by matching call syntax only.)
-TEST(DeprecatedShims, NoDecisionThreadsCallersInTree) {
-  std::vector<std::string> banned;
-  for (const char* prefix : {".", "->"}) {
-    banned.push_back(std::string(prefix) + "decisionThreads()");
-  }
-  std::vector<std::string> offenders;
-  for (const char* sub : {"src", "tools", "bench", "tests"}) {
-    fs::path root = fs::path(MTT_SOURCE_DIR) / sub;
-    ASSERT_TRUE(fs::exists(root)) << root;
-    for (const auto& entry : fs::recursive_directory_iterator(root)) {
-      if (!entry.is_regular_file()) continue;
-      fs::path p = entry.path();
-      if (p.extension() != ".hpp" && p.extension() != ".cpp") continue;
-      std::ifstream in(p);
-      std::string line;
-      std::size_t lineNo = 0;
-      while (std::getline(in, line)) {
-        ++lineNo;
-        for (const std::string& token : banned) {
-          if (line.find(token) != std::string::npos) {
-            offenders.push_back(p.string() + ":" + std::to_string(lineNo) +
-                                ": " + line);
-          }
-        }
-      }
-    }
-  }
-  EXPECT_TRUE(offenders.empty())
-      << "deprecated decisionThreads() shim called by:\n"
-      << [&] {
-           std::string all;
-           for (const std::string& o : offenders) all += o + "\n";
-           return all;
-         }();
-}
-#endif  // MTT_SOURCE_DIR
-
 }  // namespace
 }  // namespace mtt::mem

@@ -102,6 +102,9 @@ TEST(TraceRecorder, EveryRequiredFieldPresent) {
 
 TEST(TraceText, RoundTripPreservesEverything) {
   Trace t = recordAccount(7);
+  // A mem::Atomic cell, which the recorded program does not create: every
+  // object kind must survive the text form, not only the default one.
+  t.objects[1000] = ObjectSym{rt::ObjectKind::Atomic, "counter"};
   std::ostringstream os;
   writeText(t, os);
   std::istringstream is(os.str());
@@ -120,7 +123,12 @@ TEST(TraceText, RoundTripPreservesEverything) {
     EXPECT_EQ(back.events[i].arg, t.events[i].arg);
     EXPECT_EQ(back.events[i].bugSite, t.events[i].bugSite);
   }
-  EXPECT_EQ(back.objects.size(), t.objects.size());
+  ASSERT_EQ(back.objects.size(), t.objects.size());
+  for (const auto& [id, sym] : t.objects) {
+    ASSERT_EQ(back.objects.count(id), 1u) << id;
+    EXPECT_EQ(back.objects.at(id).kind, sym.kind) << sym.name;
+    EXPECT_EQ(back.objects.at(id).name, sym.name);
+  }
   EXPECT_EQ(back.sites.size(), t.sites.size());
 }
 
