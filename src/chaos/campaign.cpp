@@ -4,12 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "core/atomic_file.hpp"
 #include "core/stats.hpp"
 #include "farm/farm.hpp"
 #include "farm/journal.hpp"
@@ -37,13 +37,6 @@ const char* to_string(ChaosVerdict v) {
 }
 
 namespace {
-
-std::string readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 /// The timing-free report text both sides of every comparison use.
 std::string reportText(const experiment::ExperimentResult& r) {
@@ -225,8 +218,11 @@ ChaosReport runChaosCampaign(const experiment::ExperimentSpec& spec,
     // Completed under faults: the recovery machinery absorbed everything.
     // The claim is bitwise — the journal FILE matches, not just its records.
     const std::string chaosReport = reportText(chaosRun.result);
+    std::string chaosBytes, baselineBytes;
     if (chaosReport == baselineReport &&
-        readFile(chaosJournal) == readFile(baselineJournal)) {
+        core::readFile(chaosJournal, chaosBytes) &&
+        core::readFile(baselineJournal, baselineBytes) &&
+        chaosBytes == baselineBytes) {
       report.verdict = ChaosVerdict::Recovered;
     } else {
       report.verdict = ChaosVerdict::Corruption;

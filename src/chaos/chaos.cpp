@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "core/backoff.hpp"
+#include "core/wire.hpp"
 
 namespace mtt::chaos {
 
@@ -68,21 +69,6 @@ bool parseClass(const std::string& name, FaultClass& out) {
       "stall, partial, heartbeat, disk-full, fsync-fail");
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
-  return parts;
-}
-
 /// Curated presets the CLI and the CI soak job reference by name.  A preset
 /// is recognized only as a bare rule name with no keys; "sever:prob=0.1"
 /// always means the raw rule.
@@ -135,7 +121,8 @@ std::vector<FaultRule> presetRules(const std::string& name) {
 std::vector<FaultRule> parsePlan(const std::string& spec) {
   if (spec.empty()) badPlan("empty spec");
   std::vector<FaultRule> rules;
-  for (const std::string& part : split(spec, '+')) {
+  for (std::string_view rule : wire::splitFields(spec, '+')) {
+    const std::string part(rule);
     if (part.empty()) badPlan("empty rule in '" + spec + "'");
     const std::size_t colon = part.find(':');
     const std::string name = part.substr(0, colon);
@@ -154,34 +141,37 @@ std::vector<FaultRule> parsePlan(const std::string& spec) {
       r.times = 1;
     }
     if (colon != std::string::npos) {
-      for (const std::string& kv : split(part.substr(colon + 1), ',')) {
+      for (std::string_view item :
+           wire::splitFields(rule.substr(colon + 1), ',')) {
+        const std::string kv(item);
         const std::size_t eq = kv.find('=');
         if (eq == std::string::npos || eq == 0) {
           badPlan("bad key=value '" + kv + "' in rule '" + part + "'");
         }
         const std::string key = kv.substr(0, eq);
         const std::string val = kv.substr(eq + 1);
-        try {
-          if (key == "site") {
-            r.site = val;
-          } else if (key == "prob") {
-            r.prob = std::stod(val);
-            if (r.prob < 0.0 || r.prob > 1.0) throw std::out_of_range("prob");
-          } else if (key == "after") {
-            r.afterBytes = std::stoull(val);
-          } else if (key == "times") {
-            r.times = std::stoull(val);
-          } else if (key == "ms") {
-            r.delay = std::chrono::milliseconds(std::stoll(val));
-          } else if (key == "bytes") {
-            r.bytes = std::stoull(val);
-            if (r.bytes == 0) throw std::out_of_range("bytes");
-          } else {
-            badPlan("unknown key '" + key + "' in rule '" + part + "'");
-          }
-        } catch (const std::runtime_error&) {
-          throw;  // badPlan already formatted it
-        } catch (const std::exception&) {
+        std::uint64_t n = 0;
+        bool ok = true;
+        if (key == "site") {
+          r.site = val;
+        } else if (key == "prob") {
+          ok = wire::parseDouble(val, r.prob) && r.prob >= 0.0 &&
+               r.prob <= 1.0;
+        } else if (key == "after") {
+          ok = wire::parseU64(val, r.afterBytes);
+        } else if (key == "times") {
+          ok = wire::parseU64(val, n);
+          r.times = static_cast<std::size_t>(n);
+        } else if (key == "ms") {
+          ok = wire::parseU64(val, n);
+          r.delay = std::chrono::milliseconds(n);
+        } else if (key == "bytes") {
+          ok = wire::parseU64(val, n) && n > 0;
+          r.bytes = static_cast<std::size_t>(n);
+        } else {
+          badPlan("unknown key '" + key + "' in rule '" + part + "'");
+        }
+        if (!ok) {
           badPlan("bad value '" + val + "' for key '" + key + "' in rule '" +
                   part + "'");
         }

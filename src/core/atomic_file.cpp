@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -122,6 +124,13 @@ FileLock::~FileLock() {
     ::close(fd_);
   }
 #endif
+}
+
+bool readFile(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  out.assign(std::istreambuf_iterator<char>(in), {});
+  return !in.bad();
 }
 
 }  // namespace mtt::core

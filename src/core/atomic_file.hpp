@@ -26,6 +26,10 @@ namespace mtt::core {
 void atomicWriteFile(const std::string& path, const std::string& contents,
                      bool syncToDisk = false);
 
+/// Reads the whole of `path` into `out` (binary-safe).  False when the file
+/// cannot be opened or read; errno says why.
+bool readFile(const std::string& path, std::string& out);
+
 /// RAII advisory lock on a lock file.  Creates `path` if missing and holds
 /// an exclusive flock(2) until destruction; cooperating processes using the
 /// same path serialize against each other.  Locking is advisory — readers

@@ -3,34 +3,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/wire.hpp"
+
 namespace mtt::coverage {
 
 namespace {
-
-void putVarint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-std::uint64_t getVarint(std::string_view bytes, std::size_t& pos) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    if (pos >= bytes.size()) {
-      throw std::runtime_error("coverage snapshot: truncated varint");
-    }
-    auto b = static_cast<std::uint8_t>(bytes[pos++]);
-    if (shift >= 63 && (b & 0x7f) > 1) {
-      throw std::runtime_error("coverage snapshot: varint overflow");
-    }
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
 
 constexpr char kMagic[5] = {'M', 'S', 'N', 'P', '1'};
 
@@ -61,105 +38,52 @@ std::string Snapshot::encode() const {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
   out.push_back(closed ? 1 : 0);
-  putVarint(out, outsideUniverse);
-  putVarint(out, known.size());
-  // The known set iterates sorted; covered entries refer to it by rank.
-  std::vector<const std::string*> order;
-  order.reserve(known.size());
-  for (const auto& t : known) {
-    putVarint(out, t.size());
-    out.append(t);
-    order.push_back(&t);
-  }
-  putVarint(out, covered.size());
+  wire::putVarint(out, outsideUniverse);
+  wire::putVarint(out, known.size());
+  for (const auto& t : known) wire::putBytes(out, t);
+  // Both sets iterate sorted, so one merge walk yields each covered task's
+  // rank in the encoded known list.
+  wire::putVarint(out, covered.size());
+  auto it = known.begin();
+  std::uint64_t rank = 0;
   for (const auto& t : covered) {
-    auto it = known.find(t);
-    if (it == known.end()) {
+    for (; it != known.end() && *it < t; ++it) ++rank;
+    if (it == known.end() || *it != t) {
       throw std::logic_error(
           "coverage snapshot: covered task not in known set: " + t);
     }
-    // Rank of `it` in the sorted set == index in the encoded known list.
-    putVarint(out, static_cast<std::uint64_t>(
-                       std::distance(known.begin(), it)));
+    wire::putVarint(out, rank);
   }
   return out;
 }
 
 Snapshot Snapshot::decode(std::string_view bytes) {
-  if (bytes.size() < sizeof(kMagic) + 1 ||
-      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("coverage snapshot: bad magic");
-  }
-  std::size_t pos = sizeof(kMagic);
-  auto flags = static_cast<std::uint8_t>(bytes[pos++]);
-  if (flags > 1) {
-    throw std::runtime_error("coverage snapshot: unknown flags");
-  }
+  wire::Reader r(bytes, "coverage snapshot");
+  const std::string_view magic(kMagic, sizeof(kMagic));
+  const std::string_view head = r.bytes(magic.size() + 1);  // magic, flags
+  if (head.substr(0, magic.size()) != magic) r.fail("bad magic");
+  const auto flags = static_cast<std::uint8_t>(head.back());
+  if (flags > 1) r.fail("unknown flags");
   Snapshot s;
   s.closed = (flags & 1) != 0;
-  s.outsideUniverse = getVarint(bytes, pos);
-  std::uint64_t knownCount = getVarint(bytes, pos);
-  if (knownCount > bytes.size()) {  // each task costs >= 1 byte
-    throw std::runtime_error("coverage snapshot: implausible known count");
-  }
-  std::vector<std::string> tasks;
-  tasks.reserve(knownCount);
+  s.outsideUniverse = r.varint();
+  const std::uint64_t knownCount = r.count(1, "known task");
+  std::vector<std::string_view> tasks;
+  tasks.reserve(static_cast<std::size_t>(knownCount));
   for (std::uint64_t i = 0; i < knownCount; ++i) {
-    std::uint64_t len = getVarint(bytes, pos);
-    if (len > bytes.size() - pos) {
-      throw std::runtime_error("coverage snapshot: truncated task name");
-    }
-    tasks.emplace_back(bytes.substr(pos, len));
-    pos += len;
-    if (i > 0 && !(tasks[i - 1] < tasks[i])) {
-      throw std::runtime_error("coverage snapshot: known list not sorted");
-    }
-    s.known.insert(s.known.end(), tasks.back());
+    tasks.push_back(r.lenBytes());
+    if (i > 0 && !(tasks[i - 1] < tasks[i])) r.fail("known list not sorted");
+    s.known.emplace_hint(s.known.end(), tasks.back());
   }
-  std::uint64_t coveredCount = getVarint(bytes, pos);
-  if (coveredCount > knownCount) {
-    throw std::runtime_error("coverage snapshot: covered exceeds known");
-  }
+  const std::uint64_t coveredCount = r.count(1, "covered task");
+  if (coveredCount > knownCount) r.fail("covered exceeds known");
   for (std::uint64_t i = 0; i < coveredCount; ++i) {
-    std::uint64_t idx = getVarint(bytes, pos);
-    if (idx >= tasks.size()) {
-      throw std::runtime_error("coverage snapshot: covered index range");
-    }
-    s.covered.insert(tasks[idx]);
+    const std::uint64_t idx = r.varint();
+    if (idx >= tasks.size()) r.fail("covered index out of range");
+    s.covered.emplace(tasks[static_cast<std::size_t>(idx)]);
   }
-  if (pos != bytes.size()) {
-    throw std::runtime_error("coverage snapshot: trailing bytes");
-  }
+  r.expectEnd();
   return s;
-}
-
-std::string toHex(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (unsigned char c : bytes) {
-    out.push_back(kDigits[c >> 4]);
-    out.push_back(kDigits[c & 0xf]);
-  }
-  return out;
-}
-
-std::string fromHex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw std::runtime_error("hex blob: odd length");
-  }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    throw std::runtime_error("hex blob: bad digit");
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<char>((nibble(hex[i]) << 4) | nibble(hex[i + 1])));
-  }
-  return out;
 }
 
 }  // namespace mtt::coverage

@@ -19,9 +19,11 @@
 //
 // Covered tasks are indices into the known list because covered ⊆ known is
 // a CoverageModel invariant; encode() enforces it (a hand-built Snapshot
-// with a stray covered task throws).  Varints are LEB128, same as trace v2.
-// decode() validates everything and throws std::runtime_error on any
-// corruption — truncation, bad magic, out-of-range index — never UB.
+// with a stray covered task throws).  The codec is core/wire.hpp's (LEB128
+// varints, as in trace v2); decode() validates everything and throws one
+// std::runtime_error on any corruption — truncation, bad magic, trailing
+// bytes, out-of-range index — never UB.  Carriers (pipe record, journal,
+// JSONL) move the blob as wire::toHex text.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +64,5 @@ struct Snapshot {
 
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };
-
-/// Lowercase hex of raw bytes — how a Snapshot rides inside line-oriented
-/// carriers (the farm pipe record and the journal) without escaping issues.
-std::string toHex(std::string_view bytes);
-/// Inverse of toHex; throws std::runtime_error on odd length or non-hex.
-std::string fromHex(std::string_view hex);
 
 }  // namespace mtt::coverage

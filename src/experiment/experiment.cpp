@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/table.hpp"
+#include "core/wire.hpp"
 #include "deadlock/lockgraph.hpp"
 #include "model/static.hpp"
 #include "race/detectors.hpp"
@@ -46,34 +47,22 @@ constexpr const char* kPolicyGrammar =
 
 /// Parses the `key=value[,key=value...]` parameter list of a policy spec.
 std::vector<std::pair<std::string, std::string>> parsePolicyParams(
-    const std::string& name, const std::string& params) {
+    const std::string& name, std::string_view params) {
   std::vector<std::pair<std::string, std::string>> out;
-  std::size_t pos = 0;
-  while (pos <= params.size()) {
-    std::size_t comma = params.find(',', pos);
-    if (comma == std::string::npos) comma = params.size();
-    const std::string item = params.substr(pos, comma - pos);
+  for (std::string_view item : wire::splitFields(params, ',')) {
     const std::size_t eq = item.find('=');
-    if (item.empty() || eq == std::string::npos || eq == 0 ||
-        eq + 1 == item.size()) {
-      badPolicy(name, "expected key=value, got '" + item + "'");
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == item.size()) {
+      badPolicy(name, "expected key=value, got '" + std::string(item) + "'");
     }
     out.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    pos = comma + 1;
   }
   return out;
 }
 
 std::uint64_t policyUint(const std::string& name, const std::string& key,
                          const std::string& value) {
-  std::size_t used = 0;
   std::uint64_t v = 0;
-  try {
-    v = std::stoull(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size()) {
+  if (!wire::parseU64(value, v)) {
     badPolicy(name, key + " must be a non-negative integer, got '" + value +
                         "'");
   }
@@ -82,14 +71,8 @@ std::uint64_t policyUint(const std::string& name, const std::string& key,
 
 double policyProb(const std::string& name, const std::string& key,
                   const std::string& value) {
-  std::size_t used = 0;
   double v = 0;
-  try {
-    v = std::stod(value, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used != value.size() || v < 0.0 || v > 1.0) {
+  if (!wire::parseDouble(value, v) || !(v >= 0.0 && v <= 1.0)) {
     badPolicy(name, key + " must be a probability in [0,1], got '" + value +
                         "'");
   }
@@ -103,7 +86,8 @@ std::unique_ptr<rt::SchedulePolicy> makePolicy(const std::string& name) {
   const std::string base = name.substr(0, colon);
   std::vector<std::pair<std::string, std::string>> params;
   if (colon != std::string::npos) {
-    params = parsePolicyParams(name, name.substr(colon + 1));
+    params = parsePolicyParams(name,
+                               std::string_view(name).substr(colon + 1));
   }
   auto rejectParams = [&] {
     if (!params.empty()) {

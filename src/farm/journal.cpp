@@ -1,17 +1,15 @@
 #include "farm/journal.hpp"
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "core/atomic_file.hpp"
 #include "core/fault.hpp"
 #include "core/hash.hpp"
+#include "core/wire.hpp"
 #include "farm/farm.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -31,172 +29,107 @@ namespace {
 
 constexpr char kMagic[] = "MTTJOURNAL 1";
 
-std::string hex16(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-[[noreturn]] void corrupt(const std::string& path, const std::string& why) {
-  throw std::runtime_error("corrupt journal " + path + ": " + why);
-}
-
-bool parseHex16(const std::string& s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  out = 0;
-  for (char c : s) {
-    if (!std::isxdigit(static_cast<unsigned char>(c))) return false;
-    out = out * 16 +
-          static_cast<std::uint64_t>(c <= '9' ? c - '0'
-                                              : std::tolower(c) - 'a' + 10);
-  }
-  return true;
-}
-
 /// One "R <hex16> <payload>" line -> observation.  False on any defect.
-bool parseRecordLine(const std::string& line,
-                     experiment::RunObservation& obs) {
-  if (line.size() < 19 || line[0] != 'R' || line[1] != ' ' ||
-      line[18] != ' ') {
+bool parseRecordLine(std::string_view line, experiment::RunObservation& obs) {
+  std::uint64_t sum = 0;
+  if (line.size() < 19 || line.substr(0, 2) != "R " || line[18] != ' ' ||
+      !wire::parseHex16(line.substr(2, 16), sum)) {
     return false;
   }
-  std::uint64_t sum = 0;
-  if (!parseHex16(line.substr(2, 16), sum)) return false;
-  std::string payload = line.substr(19);
-  if (journalDigest(payload) != sum) return false;
-  return decodePipeRecord(payload, obs);
+  const std::string payload(line.substr(19));
+  return journalDigest(payload) == sum && decodePipeRecord(payload, obs);
 }
-
-}  // namespace
-
-JournalData loadJournal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open journal " + path + ": " +
-                             std::strerror(errno));
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  // Split into lines; remember whether the file ends in a newline — a
-  // final line without one is the torn-tail candidate.
-  std::vector<std::string> lines;
-  std::string cur;
-  for (char c : text) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  const bool unterminated = !cur.empty();
-  if (unterminated) lines.push_back(cur);
-
-  JournalData jd;
-  if (lines.empty()) {
-    // Killed before the first flush reached disk: nothing recorded.
-    jd.tornTail = true;
-    return jd;
-  }
-  if (lines[0] != kMagic) {
-    if (lines.size() == 1 && unterminated &&
-        std::string(kMagic).rfind(lines[0], 0) == 0) {
-      // Torn inside the very first line: the journal died before the header
-      // hit disk.  Nothing was recorded, so resume from scratch.
-      jd.tornTail = true;
-      return jd;
-    }
-    corrupt(path, "bad magic (expected '" + std::string(kMagic) + "')");
-  }
-  if (lines.size() < 2) {
-    if (unterminated || text.size() == std::strlen(kMagic) + 1) {
-      jd.tornTail = true;  // died between header lines
-      return jd;
-    }
-    corrupt(path, "missing config line");
-  }
-
-  // config <digest> <total>
-  {
-    const std::string& cl = lines[1];
-    std::istringstream cs(cl);
-    std::string word, digest, total;
-    bool ok = static_cast<bool>(cs >> word >> digest >> total) &&
-              word == "config" && parseHex16(digest, jd.configDigest);
-    if (ok) {
-      try {
-        jd.total = std::stoull(total);
-      } catch (const std::exception&) {
-        ok = false;
-      }
-    }
-    if (lines.size() == 2 && unterminated) {
-      // The newline is the commit marker: a config line without one may be
-      // truncated mid-token even when it parses (e.g. total 400 cut to 40).
-      // Nothing was recorded yet, so resume from scratch.
-      jd.configDigest = 0;
-      jd.total = 0;
-      jd.tornTail = true;
-      return jd;
-    }
-    if (!ok) corrupt(path, "bad config line '" + cl + "'");
-  }
-
-  std::unordered_set<std::uint64_t> seen;
-  for (std::size_t i = 2; i < lines.size(); ++i) {
-    if (lines[i].empty()) {
-      // An empty terminated line mid-file is corruption; a trailing empty
-      // fragment cannot occur (cur.empty() fragments are not pushed).
-      corrupt(path, "empty record line " + std::to_string(i + 1));
-    }
-    const bool last = i + 1 == lines.size();
-    experiment::RunObservation obs;
-    if (!parseRecordLine(lines[i], obs)) {
-      if (last && unterminated) {
-        jd.tornTail = true;  // checksum self-identifies the torn tail
-        break;
-      }
-      // A terminated line that fails its checksum is real corruption, not
-      // a crash artifact — appends land whole lines before the newline.
-      corrupt(path, "bad record at line " + std::to_string(i + 1));
-    }
-    if (seen.insert(obs.runIndex).second) {
-      jd.records.push_back(std::move(obs));
-    }
-    if (last && unterminated) {
-      // The record survived its checksum, but the missing newline means a
-      // blind append would glue the next record onto this line: the tail
-      // must be rewritten before the journal accepts appends again.
-      jd.tornTail = true;
-    }
-  }
-  return jd;
-}
-
-namespace {
 
 std::string headerText(std::uint64_t configDigest, std::uint64_t total) {
-  return std::string(kMagic) + "\nconfig " + hex16(configDigest) + " " +
+  return std::string(kMagic) + "\nconfig " + wire::hex16(configDigest) + " " +
          std::to_string(total) + "\n";
 }
 
 std::string recordLine(const experiment::RunObservation& obs) {
   std::string payload = encodePipeRecord(obs);
-  return "R " + hex16(journalDigest(payload)) + " " + payload + "\n";
+  return "R " + wire::hex16(journalDigest(payload)) + " " + payload + "\n";
 }
 
 }  // namespace
 
-void rewriteJournal(const std::string& path, std::uint64_t configDigest,
-                    std::uint64_t total,
-                    const std::vector<experiment::RunObservation>& records) {
+JournalData parseJournal(std::string_view text, const std::string& path) {
+  auto corrupt = [&path](const std::string& why) {
+    return std::runtime_error("corrupt journal " + path + ": " + why);
+  };
+  // '\n' commits a line: the unterminated tail is the torn-tail candidate.
+  const wire::Lines lines = wire::splitLines(text);
+  const std::vector<std::string_view>& done = lines.complete;
+  const std::string_view magic = kMagic;
+  if (done.empty() ? !magic.starts_with(lines.tail) : done[0] != magic) {
+    throw corrupt("bad magic (expected '" + std::string(kMagic) + "')");
+  }
+  JournalData jd;
+  // The header is durable before the first record, so a journal torn
+  // inside it recorded nothing: resume from scratch.
+  if (done.size() < 2) {
+    jd.tornTail = true;
+    return jd;
+  }
+  // config <digest> <total>
+  const std::vector<std::string_view> cf = wire::splitFields(done[1], ' ');
+  if (cf.size() != 3 || cf[0] != "config" ||
+      !wire::parseHex16(cf[1], jd.configDigest) ||
+      !wire::parseU64(cf[2], jd.total)) {
+    throw corrupt("bad config line '" + std::string(done[1]) + "'");
+  }
+
+  std::unordered_set<std::uint64_t> seen;
+  auto keep = [&](experiment::RunObservation& obs) {
+    if (seen.insert(obs.runIndex).second) {
+      jd.records.push_back(std::move(obs));
+    }
+  };
+  for (std::size_t i = 2; i < done.size(); ++i) {
+    experiment::RunObservation obs;
+    // A terminated line that fails its checksum is real corruption, not a
+    // crash artifact — appends land whole lines before the newline.
+    if (!parseRecordLine(done[i], obs)) {
+      throw corrupt((done[i].empty() ? "empty record line "
+                                     : "bad record at line ") +
+                    std::to_string(i + 1));
+    }
+    keep(obs);
+  }
+  if (!lines.tail.empty()) {
+    // The checksum self-identifies a torn record.  One that survives it is
+    // kept, but without its newline a blind append would glue the next
+    // record onto it: either way the tail must be rewritten first.
+    jd.tornTail = true;
+    experiment::RunObservation obs;
+    if (parseRecordLine(lines.tail, obs)) keep(obs);
+  }
+  return jd;
+}
+
+std::string renderJournal(
+    std::uint64_t configDigest, std::uint64_t total,
+    const std::vector<experiment::RunObservation>& records) {
   std::string text = headerText(configDigest, total);
   for (const experiment::RunObservation& obs : records) {
     text += recordLine(obs);
   }
-  core::atomicWriteFile(path, text, /*syncToDisk=*/true);
+  return text;
+}
+
+JournalData loadJournal(const std::string& path) {
+  std::string text;
+  if (!core::readFile(path, text)) {
+    throw std::runtime_error("cannot open journal " + path + ": " +
+                             std::strerror(errno));
+  }
+  return parseJournal(text, path);
+}
+
+void rewriteJournal(const std::string& path, std::uint64_t configDigest,
+                    std::uint64_t total,
+                    const std::vector<experiment::RunObservation>& records) {
+  core::atomicWriteFile(path, renderJournal(configDigest, total, records),
+                        /*syncToDisk=*/true);
 }
 
 void JournalWriter::open(const std::string& path, std::uint64_t configDigest,

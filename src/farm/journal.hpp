@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "experiment/experiment.hpp"
@@ -51,10 +52,18 @@ struct JournalData {
   bool tornTail = false;
 };
 
-/// Parses a journal file.  Tolerates a torn final record; throws
-/// std::runtime_error with a diagnostic on a missing file, a corrupt
-/// header, or a corrupt non-final record.
+/// Parses journal text (core/wire.hpp line split: '\n' commits a line).
+/// Tolerates a torn final record and a header torn before it completed
+/// (nothing recorded: empty, tornTail); throws std::runtime_error naming
+/// `path` on a corrupt header or a corrupt terminated record.
+JournalData parseJournal(std::string_view text, const std::string& path);
+/// parseJournal over the file at `path`; also throws when it is missing.
 JournalData loadJournal(const std::string& path);
+
+/// The journal text holding exactly these records (header included).
+std::string renderJournal(
+    std::uint64_t configDigest, std::uint64_t total,
+    const std::vector<experiment::RunObservation>& records);
 
 /// Atomically rewrites `path` as a clean journal (header + records).  Used
 /// on resume to repair a torn tail before reopening for append — appending

@@ -1,12 +1,12 @@
 // Record serialization for mtt::farm: the JSONL observability stream and
 // the escaped-TSV record framing of journal payloads and fleet frames.
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/wire.hpp"
 #include "coverage/snapshot.hpp"
 #include "farm/farm.hpp"
 #include "farm/record_io.hpp"
@@ -51,12 +51,6 @@ void appendJsonString(std::string& out, const std::string& s) {
   out += '"';
 }
 
-std::string formatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string toJson(const experiment::RunObservation& o) {
@@ -73,14 +67,15 @@ std::string toJson(const experiment::RunObservation& o) {
   j += ",\"true_warnings\":" + std::to_string(o.trueWarnings);
   j += ",\"false_warnings\":" + std::to_string(o.falseWarnings);
   j += ",\"deadlock_potentials\":" + std::to_string(o.deadlockPotentials);
-  j += ",\"wall_ms\":" + formatDouble(o.wallSeconds * 1e3);
+  j += ",\"wall_ms\":" + wire::formatDouble(o.wallSeconds * 1e3);
   j += ",\"events\":" + std::to_string(o.events);
   j += ",\"injections\":" + std::to_string(o.noiseInjections);
   j += ",\"outcome\":";
   appendJsonString(j, o.outcome);
   j += ",\"dispatch_deliveries\":" + std::to_string(o.dispatchDeliveries);
   if (o.dispatchNsPerEvent > 0.0) {
-    j += ",\"dispatch_ns_per_event\":" + formatDouble(o.dispatchNsPerEvent);
+    j += ",\"dispatch_ns_per_event\":" +
+         wire::formatDouble(o.dispatchNsPerEvent);
   }
   j += ",\"attempts\":" + std::to_string(o.attempts);
   if (!o.coverage.empty()) {
@@ -94,7 +89,7 @@ std::string toJson(const experiment::RunObservation& o) {
       // Malformed blob: still emit the raw bytes below.
     }
     j += ",\"coverage\":";
-    appendJsonString(j, coverage::toHex(o.coverage));
+    appendJsonString(j, wire::toHex(o.coverage));
   }
   if (!o.failureMessage.empty()) {
     j += ",\"error\":";
@@ -108,130 +103,73 @@ std::string toJson(const experiment::RunObservation& o) {
   return j;
 }
 
-// Pipe framing: '\t' separates fields, so embedded tabs/newlines/backslashes
-// are escaped.  The format only ever talks between processes of the same
-// build (journal payloads, fleet frames), so there is no
-// versioning concern beyond the field count.
-void appendEscapedField(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-}
-
-std::string unescapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 == s.size()) {
-      out += s[i];
-      continue;
-    }
-    switch (s[++i]) {
-      case '\\': out += '\\'; break;
-      case 't': out += '\t'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> splitTabFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  for (char c : line) {
-    if (c == '\t') {
-      fields.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  fields.push_back(cur);
-  return fields;
-}
-
+// Pipe framing: '\t' separates fields, and embedded tabs, newlines and
+// backslashes are escaped (wire::appendEscapedField).  The format only ever
+// talks between processes of the same build (journal payloads, fleet
+// frames), so there is no versioning beyond the field count.
 std::string encodePipeRecord(const experiment::RunObservation& o) {
   std::string line;
-  line += std::to_string(o.runIndex);
-  line += '\t';
-  line += std::to_string(o.seed);
-  line += '\t';
-  appendEscapedField(line, o.status);
-  line += '\t';
-  line += o.manifested ? '1' : '0';
-  line += '\t';
-  line += o.hasDetectors ? '1' : '0';
-  line += '\t';
-  line += o.detectorHit ? '1' : '0';
-  line += '\t';
-  line += std::to_string(o.warnings);
-  line += '\t';
-  line += std::to_string(o.trueWarnings);
-  line += '\t';
-  line += std::to_string(o.falseWarnings);
-  line += '\t';
-  line += std::to_string(o.deadlockPotentials);
-  line += '\t';
-  line += formatDouble(o.wallSeconds);
-  line += '\t';
-  line += std::to_string(o.events);
-  line += '\t';
-  line += std::to_string(o.noiseInjections);
-  line += '\t';
-  appendEscapedField(line, o.outcome);
-  line += '\t';
-  appendEscapedField(line, o.failureMessage);
-  line += '\t';
-  line += std::to_string(o.attempts);
-  line += '\t';
-  line += std::to_string(o.dispatchDeliveries);
-  line += '\t';
-  line += formatDouble(o.dispatchNsPerEvent);
-  line += '\t';
-  appendEscapedField(line, o.postmortemPath);
-  line += '\t';
+  auto num = [&line](std::uint64_t v) { line += std::to_string(v) + '\t'; };
+  auto real = [&line](double v) { line += wire::formatDouble(v) + '\t'; };
+  auto flag = [&line](bool b) { line += b ? "1\t" : "0\t"; };
+  auto text = [&line](const std::string& s) {
+    wire::appendEscapedField(line, s);
+    line += '\t';
+  };
+  num(o.runIndex);
+  num(o.seed);
+  text(o.status);
+  flag(o.manifested);
+  flag(o.hasDetectors);
+  flag(o.detectorHit);
+  num(o.warnings);
+  num(o.trueWarnings);
+  num(o.falseWarnings);
+  num(o.deadlockPotentials);
+  real(o.wallSeconds);
+  num(o.events);
+  num(o.noiseInjections);
+  text(o.outcome);
+  text(o.failureMessage);
+  num(o.attempts);
+  num(o.dispatchDeliveries);
+  real(o.dispatchNsPerEvent);
+  text(o.postmortemPath);
   // Hex, not escaped raw bytes: the blob is binary and the journal format
   // wants printable payloads.
-  line += coverage::toHex(o.coverage);
+  line += wire::toHex(o.coverage);
   return line;
 }
 
 bool decodePipeRecord(const std::string& line,
                       experiment::RunObservation& o) {
-  std::vector<std::string> f = splitTabFields(line);
-  // 19 fields: pre-coverage records (journals written by earlier builds);
-  // 20: current format with the trailing coverage snapshot hex.
-  if (f.size() != 19 && f.size() != 20) return false;
+  const std::vector<std::string_view> f = wire::splitFields(line);
+  if (f.size() != 20) return false;
+  bool ok = wire::parseU64(f[0], o.runIndex) && wire::parseU64(f[1], o.seed) &&
+            wire::unescapeField(f[2], o.status) &&
+            wire::parseBool(f[3], o.manifested) &&
+            wire::parseBool(f[4], o.hasDetectors) &&
+            wire::parseBool(f[5], o.detectorHit) &&
+            wire::parseU64(f[6], o.warnings) &&
+            wire::parseU64(f[7], o.trueWarnings) &&
+            wire::parseU64(f[8], o.falseWarnings) &&
+            wire::parseU64(f[9], o.deadlockPotentials) &&
+            wire::parseDouble(f[10], o.wallSeconds) &&
+            wire::parseU64(f[11], o.events) &&
+            wire::parseU64(f[12], o.noiseInjections) &&
+            wire::unescapeField(f[13], o.outcome) &&
+            wire::unescapeField(f[14], o.failureMessage) &&
+            wire::parseU32(f[15], o.attempts) &&
+            wire::parseU64(f[16], o.dispatchDeliveries) &&
+            wire::parseDouble(f[17], o.dispatchNsPerEvent) &&
+            wire::unescapeField(f[18], o.postmortemPath);
+  if (!ok) return false;
   try {
-    o.runIndex = std::stoull(f[0]);
-    o.seed = std::stoull(f[1]);
-    o.status = unescapeField(f[2]);
-    o.manifested = f[3] == "1";
-    o.hasDetectors = f[4] == "1";
-    o.detectorHit = f[5] == "1";
-    o.warnings = std::stoull(f[6]);
-    o.trueWarnings = std::stoull(f[7]);
-    o.falseWarnings = std::stoull(f[8]);
-    o.deadlockPotentials = std::stoull(f[9]);
-    o.wallSeconds = std::stod(f[10]);
-    o.events = std::stoull(f[11]);
-    o.noiseInjections = std::stoull(f[12]);
-    o.outcome = unescapeField(f[13]);
-    o.failureMessage = unescapeField(f[14]);
-    o.attempts = static_cast<std::uint32_t>(std::stoul(f[15]));
-    o.dispatchDeliveries = std::stoull(f[16]);
-    o.dispatchNsPerEvent = std::stod(f[17]);
-    o.postmortemPath = unescapeField(f[18]);
-    o.coverage = f.size() > 19 ? coverage::fromHex(f[19]) : std::string();
-  } catch (const std::exception&) {
+    // The blob must be a whole MSNP1 snapshot: a record cut inside its hex
+    // is rejected, not read as a smaller coverage set.
+    o.coverage = wire::fromHex(f[19]);
+    if (!o.coverage.empty()) (void)coverage::Snapshot::decode(o.coverage);
+  } catch (const std::runtime_error&) {
     return false;
   }
   return true;

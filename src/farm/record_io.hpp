@@ -7,7 +7,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "experiment/experiment.hpp"
 
@@ -18,27 +17,17 @@ namespace mtt::farm {
 std::string toJson(const experiment::RunObservation& o);
 
 /// Compact escaped tab-separated encoding used in journal record payloads
-/// and in fleet RECORD frames; round-trips
-/// exactly (doubles via %.17g, coverage as MSNP1 hex).
+/// and in fleet RECORD frames, built on core/wire.hpp; round-trips exactly
+/// (doubles via %.17g, coverage as MSNP1 hex).
 std::string encodePipeRecord(const experiment::RunObservation& o);
 
 /// Strict inverse of encodePipeRecord.  Returns false (leaving `o`
-/// unspecified) on any malformed input — wrong field count, non-numeric
-/// numerics, bad coverage hex — never throws or crashes, so truncated or
-/// corrupt frames surface as a clean diagnostic at the caller.
+/// unspecified) on any malformed input — a field count other than 20, a
+/// numeric field that is not a whole decimal token, a flag other than 0/1,
+/// an unknown escape, coverage hex that is not a whole MSNP1 snapshot —
+/// never throws or crashes, so truncated or corrupt frames surface as a
+/// clean diagnostic at the caller.
 bool decodePipeRecord(const std::string& line, experiment::RunObservation& o);
-
-// --- field-level helpers (shared with the fleet wire protocol) -----------
-
-/// Appends `s` to `out` with '\\', '\t', '\n', '\r' escaped, so the result
-/// can be embedded in a tab-separated, newline-terminated frame.
-void appendEscapedField(std::string& out, const std::string& s);
-
-/// Inverse of appendEscapedField for a single already-split field.
-std::string unescapeField(const std::string& s);
-
-/// Splits a frame line on raw tabs (escaped tabs survive inside fields).
-std::vector<std::string> splitTabFields(const std::string& line);
 
 /// Zeroes the wall-clock-dependent fields of a record (wallSeconds,
 /// dispatchNsPerEvent).  With FarmOptions::scrubTiming this runs at

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/backoff.hpp"
+#include "core/wire.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MTT_FLEET_HAS_SOCKETS 1
@@ -44,13 +45,8 @@ Address parseAddress(const std::string& s) {
         "\"unix:/path/to.sock\" or \"host:port\"");
   }
   a.host = s.substr(0, colon);
-  const std::string portStr = s.substr(colon + 1);
-  unsigned long port = 0;
-  try {
-    std::size_t pos = 0;
-    port = std::stoul(portStr, &pos);
-    if (pos != portStr.size()) throw std::invalid_argument(portStr);
-  } catch (const std::exception&) {
+  std::uint64_t port = 0;
+  if (!wire::parseU64(std::string_view(s).substr(colon + 1), port)) {
     throw std::runtime_error("fleet address \"" + s +
                              "\" carries a non-numeric port");
   }

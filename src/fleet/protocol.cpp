@@ -1,74 +1,13 @@
-// Frame and payload codecs for the fleet wire protocol.  Everything here
-// is a pure function of its input bytes: no I/O, no globals — which is
-// what makes the byte-prefix truncation fuzz in test_fleet.cpp possible.
+// Frame and payload codecs for the fleet wire protocol, built on
+// core/wire.hpp.  Everything here is a pure function of its input bytes: no
+// I/O, no globals — which is what lets the decoder harness (tests/
+// test_wire.cpp) feed it every prefix and corruption of a real stream.
 #include "fleet/protocol.hpp"
 
-#include <cstdio>
-#include <cstring>
-
+#include "core/wire.hpp"
 #include "farm/record_io.hpp"
 
 namespace mtt::fleet {
-
-namespace {
-
-std::string formatDouble(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-bool parseU64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stoull(s, &pos);
-    return pos == s.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parseU32(const std::string& s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parseU64(s, v) || v > 0xffffffffull) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-bool parseDouble(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  try {
-    std::size_t pos = 0;
-    out = std::stod(s, &pos);
-    return pos == s.size();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool parseBool(const std::string& s, bool& out) {
-  if (s != "0" && s != "1") return false;
-  out = s == "1";
-  return true;
-}
-
-std::vector<std::string> splitLines(const std::string& s) {
-  std::vector<std::string> lines;
-  std::string cur;
-  for (char c : s) {
-    if (c == '\n') {
-      lines.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) lines.push_back(cur);
-  return lines;
-}
-
-}  // namespace
 
 bool knownFrameType(std::uint8_t t) {
   switch (static_cast<FrameType>(t)) {
@@ -89,10 +28,7 @@ std::string encodeFrame(FrameType type, const std::string& payload) {
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size() + 1);
   std::string out;
   out.reserve(4 + length);
-  out += static_cast<char>(length & 0xff);
-  out += static_cast<char>((length >> 8) & 0xff);
-  out += static_cast<char>((length >> 16) & 0xff);
-  out += static_cast<char>((length >> 24) & 0xff);
+  wire::putU32le(out, length);
   out += static_cast<char>(type);
   out += payload;
   return out;
@@ -104,11 +40,7 @@ ParseResult tryParseFrame(const std::string& buffer) {
     r.status = ParseStatus::NeedMore;
     return r;
   }
-  const std::uint32_t length =
-      static_cast<std::uint32_t>(static_cast<unsigned char>(buffer[0])) |
-      static_cast<std::uint32_t>(static_cast<unsigned char>(buffer[1])) << 8 |
-      static_cast<std::uint32_t>(static_cast<unsigned char>(buffer[2])) << 16 |
-      static_cast<std::uint32_t>(static_cast<unsigned char>(buffer[3])) << 24;
+  const std::uint32_t length = wire::Reader(buffer, "fleet frame").u32le();
   if (length == 0) {
     r.status = ParseStatus::Corrupt;
     r.error = "fleet frame with zero length (missing type byte)";
@@ -154,7 +86,8 @@ bool decodeHello(const std::string& payload, std::uint32_t& version,
     err = "HELLO payload does not start with \"MTTFLEET \"";
     return false;
   }
-  if (!parseU32(payload.substr(magic.size()), version)) {
+  if (!wire::parseU32(std::string_view(payload).substr(magic.size()),
+                       version)) {
     err = "HELLO payload carries a malformed protocol version";
     return false;
   }
@@ -169,7 +102,7 @@ void appendSpecLine(std::string& out, const char* key,
                     const std::string& value) {
   out += key;
   out += '\t';
-  farm::appendEscapedField(out, value);
+  wire::appendEscapedField(out, value);
   out += '\n';
 }
 
@@ -183,7 +116,8 @@ std::string encodeSpec(const experiment::RunSpec& spec) {
                                   : "native");
   appendSpecLine(out, "policy", spec.tool.policy);
   appendSpecLine(out, "noise", spec.tool.noiseName);
-  appendSpecLine(out, "strength", formatDouble(spec.tool.noiseOpts.strength));
+  appendSpecLine(out, "strength",
+                 wire::formatDouble(spec.tool.noiseOpts.strength));
   appendSpecLine(out, "max-yields",
                  std::to_string(spec.tool.noiseOpts.maxYields));
   appendSpecLine(out, "max-sleep-native",
@@ -213,24 +147,29 @@ std::string encodeSpec(const experiment::RunSpec& spec) {
 
 bool decodeSpec(const std::string& payload, experiment::RunSpec& out,
                 std::string& err) {
-  std::vector<std::string> lines = splitLines(payload);
-  if (lines.empty() || lines[0] != "MTTSPEC 1") {
+  const wire::Lines lines = wire::splitLines(payload);
+  if (lines.complete.empty() || lines.complete[0] != "MTTSPEC 1") {
     err = "SPEC payload missing the \"MTTSPEC 1\" header";
+    return false;
+  }
+  if (!lines.tail.empty()) {
+    err = "SPEC payload ends in an unterminated line";
     return false;
   }
   experiment::RunSpec spec;
   bool sawProgram = false;
   rt::RunOptions runOpts;
   bool sawRunOpts = false;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> f = farm::splitTabFields(lines[i]);
-    if (f.size() != 2) {
+  for (std::size_t i = 1; i < lines.complete.size(); ++i) {
+    const std::string_view line = lines.complete[i];
+    const std::vector<std::string_view> f = wire::splitFields(line);
+    std::string value;
+    if (f.size() != 2 || !wire::unescapeField(f[1], value)) {
       err = "SPEC line " + std::to_string(i + 1) +
-            " is not a key/value pair: \"" + lines[i] + "\"";
+            " is not a key/value pair: \"" + std::string(line) + "\"";
       return false;
     }
-    const std::string& key = f[0];
-    const std::string value = farm::unescapeField(f[1]);
+    const std::string_view key = f[0];
     bool ok = true;
     if (key == "program") {
       spec.programName = value;
@@ -248,43 +187,44 @@ bool decodeSpec(const std::string& payload, experiment::RunSpec& out,
     } else if (key == "noise") {
       spec.tool.noiseName = value;
     } else if (key == "strength") {
-      ok = parseDouble(value, spec.tool.noiseOpts.strength);
+      ok = wire::parseDouble(value, spec.tool.noiseOpts.strength);
     } else if (key == "max-yields") {
-      ok = parseU32(value, spec.tool.noiseOpts.maxYields);
+      ok = wire::parseU32(value, spec.tool.noiseOpts.maxYields);
     } else if (key == "max-sleep-native") {
-      ok = parseU32(value, spec.tool.noiseOpts.maxSleepNative);
+      ok = wire::parseU32(value, spec.tool.noiseOpts.maxSleepNative);
     } else if (key == "max-sleep-controlled") {
-      ok = parseU32(value, spec.tool.noiseOpts.maxSleepControlled);
+      ok = wire::parseU32(value, spec.tool.noiseOpts.maxSleepControlled);
     } else if (key == "target") {
       spec.tool.noiseTargets.insert(value);
     } else if (key == "detector") {
       spec.tool.detectors.push_back(value);
     } else if (key == "lock-graph") {
-      ok = parseBool(value, spec.tool.lockGraph);
+      ok = wire::parseBool(value, spec.tool.lockGraph);
     } else if (key == "coverage") {
       spec.tool.coverage = value;
     } else if (key == "closed-universe") {
-      ok = parseBool(value, spec.tool.coverageClosedUniverse);
+      ok = wire::parseBool(value, spec.tool.coverageClosedUniverse);
     } else if (key == "seed-base") {
-      ok = parseU64(value, spec.seedBase);
+      ok = wire::parseU64(value, spec.seedBase);
     } else if (key == "max-steps") {
-      ok = parseU64(value, runOpts.maxSteps);
+      ok = wire::parseU64(value, runOpts.maxSteps);
       sawRunOpts = true;
     } else if (key == "block-timeout-ms") {
       std::uint64_t ms = 0;
-      ok = parseU64(value, ms);
+      ok = wire::parseU64(value, ms);
       runOpts.blockTimeout = std::chrono::milliseconds(ms);
       sawRunOpts = true;
     } else if (key == "dispatch-timing") {
-      ok = parseBool(value, runOpts.dispatchTiming);
+      ok = wire::parseBool(value, runOpts.dispatchTiming);
       sawRunOpts = true;
     } else {
-      err = "SPEC carries unknown key \"" + key +
+      err = "SPEC carries unknown key \"" + std::string(key) +
             "\" (worker and coordinator builds differ?)";
       return false;
     }
     if (!ok) {
-      err = "SPEC key \"" + key + "\" has malformed value \"" + value + "\"";
+      err = "SPEC key \"" + std::string(key) + "\" has malformed value \"" +
+            value + "\"";
       return false;
     }
   }
@@ -307,14 +247,14 @@ std::string encodeLease(const LeasePayload& lease) {
     out += '\t';
     out += std::to_string(a.seed);
     out += '\t';
-    farm::appendEscapedField(out, a.noiseName);
+    wire::appendEscapedField(out, a.noiseName);
     out += '\t';
-    out += formatDouble(a.strength);
+    out += wire::formatDouble(a.strength);
     if (!a.policy.empty()) {
       // Optional fifth field: omitted when empty so plain campaigns emit
       // the exact version-1 wire bytes (mixed fleets stay compatible).
       out += '\t';
-      farm::appendEscapedField(out, a.policy);
+      wire::appendEscapedField(out, a.policy);
     }
     out += '\n';
   }
@@ -323,27 +263,34 @@ std::string encodeLease(const LeasePayload& lease) {
 
 bool decodeLease(const std::string& payload, LeasePayload& out,
                  std::string& err) {
-  std::vector<std::string> lines = splitLines(payload);
-  if (lines.empty()) {
+  const wire::Lines lines = wire::splitLines(payload);
+  if (lines.complete.empty()) {
     err = "LEASE payload is empty";
     return false;
   }
-  LeasePayload lease;
-  if (!parseU64(lines[0], lease.leaseId)) {
-    err = "LEASE payload carries a malformed lease id \"" + lines[0] + "\"";
+  if (!lines.tail.empty()) {
+    err = "LEASE payload ends in an unterminated line";
     return false;
   }
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::vector<std::string> f = farm::splitTabFields(lines[i]);
+  LeasePayload lease;
+  if (!wire::parseU64(lines.complete[0], lease.leaseId)) {
+    err = "LEASE payload carries a malformed lease id \"" +
+          std::string(lines.complete[0]) + "\"";
+    return false;
+  }
+  for (std::size_t i = 1; i < lines.complete.size(); ++i) {
+    const std::vector<std::string_view> f =
+        wire::splitFields(lines.complete[i]);
     RunAssignment a;
-    if ((f.size() != 4 && f.size() != 5) || !parseU64(f[0], a.index) ||
-        !parseU64(f[1], a.seed) || !parseDouble(f[3], a.strength)) {
+    if ((f.size() != 4 && f.size() != 5) || !wire::parseU64(f[0], a.index) ||
+        !wire::parseU64(f[1], a.seed) ||
+        !wire::unescapeField(f[2], a.noiseName) ||
+        !wire::parseDouble(f[3], a.strength) ||
+        (f.size() == 5 && !wire::unescapeField(f[4], a.policy))) {
       err = "LEASE assignment line " + std::to_string(i + 1) +
-            " is malformed: \"" + lines[i] + "\"";
+            " is malformed: \"" + std::string(lines.complete[i]) + "\"";
       return false;
     }
-    a.noiseName = farm::unescapeField(f[2]);
-    if (f.size() == 5) a.policy = farm::unescapeField(f[4]);
     lease.runs.push_back(std::move(a));
   }
   out = std::move(lease);
@@ -360,7 +307,8 @@ std::string encodeRecord(std::uint64_t leaseId,
 bool decodeRecord(const std::string& payload, std::uint64_t& leaseId,
                   experiment::RunObservation& obs, std::string& err) {
   const std::size_t tab = payload.find('\t');
-  if (tab == std::string::npos || !parseU64(payload.substr(0, tab), leaseId)) {
+  if (tab == std::string::npos ||
+      !wire::parseU64(std::string_view(payload).substr(0, tab), leaseId)) {
     err = "RECORD payload carries a malformed lease id prefix";
     return false;
   }
@@ -377,7 +325,7 @@ std::string encodeLeaseDone(std::uint64_t leaseId) {
 
 bool decodeLeaseDone(const std::string& payload, std::uint64_t& leaseId,
                      std::string& err) {
-  if (!parseU64(payload, leaseId)) {
+  if (!wire::parseU64(payload, leaseId)) {
     err = "LEASE_DONE payload carries a malformed lease id";
     return false;
   }

@@ -6,18 +6,18 @@
 //   u8   type       FrameType discriminator
 //   u8[] payload    length-1 bytes, format per type
 //
-// Payloads are printable text built from the same escaped-field discipline
-// as the farm pipe records (farm/record_io.hpp): '\t' separates fields,
-// '\n' separates lines, embedded separators/backslashes are escaped, and
-// binary blobs (coverage snapshots) ride as MSNP1 hex.  One codec for the
-// journal and the wire keeps every record readable by every layer.
+// Payloads are printable text built from core/wire.hpp's escaped-field
+// codec, the same one the farm pipe records use: '\t' separates fields,
+// '\n' terminates every line, embedded separators/backslashes are escaped,
+// and binary blobs (coverage snapshots) ride as MSNP1 hex.  One codec for
+// the journal and the wire keeps every record readable by every layer.
 //
 // Parsing discipline: tryParseFrame and every decode* function are total —
 // any byte prefix of a valid stream yields NeedMore or a complete frame,
 // and corrupt input yields a diagnostic, never a crash or an exception.
-// The truncation-fuzz tests in tests/test_fleet.cpp enforce this for every
-// prefix length (the same discipline as the scenario/journal/MSNP1
-// loaders).
+// The decoder harness (tests/test_wire.cpp) enforces this for every prefix
+// and single-byte corruption of a HELLO/SPEC/LEASE/RECORD stream, as it
+// does for every other mtt format.
 //
 // Conversation:
 //

@@ -5,13 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/atomic_file.hpp"
 #include "core/rng.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
+#include "core/wire.hpp"
 #include "farm/journal.hpp"
 #include "fleet/local.hpp"
 #include "replay/replay.hpp"
@@ -25,13 +25,6 @@ namespace {
 std::string formatStrength(double s) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", s);
-  return buf;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -178,108 +171,118 @@ std::string observationFingerprint(const experiment::RunObservation& o) {
   }
   text += '|';
   text += triage::normalizeTokens(o.failureMessage);
-  return hex16(farm::journalDigest(text));
+  return wire::hex16(farm::journalDigest(text));
 }
 
 // --- decision log ----------------------------------------------------------
 //
-// Text, append-only, torn-tail tolerant (same discipline as the journal):
-//
-//   MTTGUIDE 1
-//   config <16-hex FNV-1a of the campaign config text>
-//   arms <n>
-//   arm <index> <label>          (n lines; labels are single tokens)
-//   A <runIndex> <armIndex> <seed>
+// Text, append-only, torn-tail tolerant (same discipline as the journal);
+// the grammar is in guide.hpp (DecisionLog).
 
 namespace {
 
-struct DecisionLog {
-  std::uint64_t digest = 0;
-  std::vector<std::string> labels;
-  /// runIndex -> (arm index, seed); first occurrence wins.
-  std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>> assignments;
-};
+std::string assignmentLine(std::uint64_t idx, std::size_t arm,
+                           std::uint64_t seed) {
+  return "A " + std::to_string(idx) + " " + std::to_string(arm) + " " +
+         std::to_string(seed) + "\n";
+}
 
-DecisionLog loadDecisionLog(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("guide: cannot open decision log " + path);
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  auto corrupt = [&](const std::string& why) -> std::runtime_error {
+}  // namespace
+
+DecisionLog parseDecisionLog(std::string_view text, const std::string& path) {
+  auto corrupt = [&path](const std::string& why) {
     return std::runtime_error("guide: corrupt decision log " + path + ": " +
                               why);
   };
-  if (lines.size() < 3 || lines[0] != "MTTGUIDE 1") {
+  constexpr std::string_view kMagic = "MTTGUIDE 1";
+  // '\n' commits a line: the unterminated tail is a torn append.
+  const wire::Lines lines = wire::splitLines(text);
+  const std::vector<std::string_view>& done = lines.complete;
+  auto fields = [&done](std::size_t i) {
+    return wire::splitFields(done[i], ' ');
+  };
+  // The header lands in one atomic write, so committed lines running out
+  // inside it mean the log recorded nothing: an empty log, flagged torn.
+  DecisionLog torn;
+  torn.tornTail = true;
+  if (done.empty() ? !kMagic.starts_with(lines.tail) : done[0] != kMagic) {
     throw corrupt("missing MTTGUIDE 1 header");
   }
+  if (done.size() < 3) return torn;
   DecisionLog log;
-  {
-    unsigned long long d = 0;
-    if (std::sscanf(lines[1].c_str(), "config %16llx", &d) != 1) {
-      throw corrupt("bad config line");
-    }
-    log.digest = d;
+  log.tornTail = !lines.tail.empty();
+  const std::vector<std::string_view> cf = fields(1);
+  if (cf.size() != 2 || cf[0] != "config" ||
+      !wire::parseHex16(cf[1], log.digest)) {
+    throw corrupt("bad config line");
   }
-  unsigned long long nArms = 0;
-  if (std::sscanf(lines[2].c_str(), "arms %llu", &nArms) != 1 ||
+  const std::vector<std::string_view> af = fields(2);
+  std::uint64_t nArms = 0;
+  if (af.size() != 2 || af[0] != "arms" || !wire::parseU64(af[1], nArms) ||
       nArms == 0 || nArms > 4096) {
     throw corrupt("bad arms line");
   }
-  std::size_t pos = 3;
-  log.labels.resize(static_cast<std::size_t>(nArms));
-  for (std::size_t i = 0; i < nArms; ++i, ++pos) {
-    if (pos >= lines.size()) throw corrupt("truncated arm list");
-    std::istringstream ls(lines[pos]);
-    std::string tag, label;
-    unsigned long long idx = 0;
-    if (!(ls >> tag >> idx >> label) || tag != "arm" || idx != i) {
+  if (done.size() < 3 + nArms) return torn;
+  std::uint64_t idx = 0;
+  for (std::size_t i = 0; i < nArms; ++i) {
+    const std::vector<std::string_view> f = fields(3 + i);
+    if (f.size() != 3 || f[0] != "arm" || !wire::parseU64(f[1], idx) ||
+        idx != i) {
       throw corrupt("bad arm line " + std::to_string(i));
     }
-    log.labels[i] = label;
+    log.labels.emplace_back(f[2]);
   }
-  for (; pos < lines.size(); ++pos) {
-    unsigned long long idx = 0, arm = 0, seed = 0;
-    if (std::sscanf(lines[pos].c_str(), "A %llu %llu %llu", &idx, &arm,
-                    &seed) != 3 ||
+  // Every committed assignment must parse whole; only the tail may be torn.
+  for (std::size_t i = 3 + nArms; i < done.size(); ++i) {
+    const std::vector<std::string_view> f = fields(i);
+    std::uint64_t arm = 0, seed = 0;
+    if (f.size() != 4 || f[0] != "A" || !wire::parseU64(f[1], idx) ||
+        !wire::parseU64(f[2], arm) || !wire::parseU64(f[3], seed) ||
         arm >= nArms) {
-      // A torn final line (crash mid-append) is dropped, like the
-      // journal's torn tail; anything earlier is real corruption.
-      if (pos + 1 == lines.size()) break;
-      throw corrupt("bad assignment line " + std::to_string(pos + 1));
+      throw corrupt("bad assignment line " + std::to_string(i + 1));
     }
     log.assignments.emplace(
-        idx, std::make_pair(static_cast<std::size_t>(arm),
-                            static_cast<std::uint64_t>(seed)));
+        idx, std::make_pair(static_cast<std::size_t>(arm), seed));
   }
   return log;
 }
 
 std::string renderDecisionLog(
-    std::uint64_t digest, const std::vector<Arm>& arms,
+    std::uint64_t digest, const std::vector<std::string>& labels,
     const std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>>&
         assignments) {
-  std::string out = "MTTGUIDE 1\nconfig " + hex16(digest) + "\narms " +
-                    std::to_string(arms.size()) + "\n";
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    out += "arm " + std::to_string(i) + " " + arms[i].label() + "\n";
+  std::string out = "MTTGUIDE 1\nconfig " + wire::hex16(digest) +
+                    "\narms " + std::to_string(labels.size()) + "\n";
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    out += "arm " + std::to_string(i) + " " + labels[i] + "\n";
   }
   for (const auto& [idx, as] : assignments) {
-    out += "A " + std::to_string(idx) + " " + std::to_string(as.first) +
-           " " + std::to_string(as.second) + "\n";
+    out += assignmentLine(idx, as.first, as.second);
   }
   return out;
 }
 
+namespace {
+
+DecisionLog loadDecisionLog(const std::string& path) {
+  std::string text;
+  if (!core::readFile(path, text)) {
+    throw std::runtime_error("guide: cannot open decision log " + path);
+  }
+  return parseDecisionLog(text, path);
+}
+
 void checkLogMatches(const DecisionLog& log, std::uint64_t digest,
                      const std::vector<Arm>& arms, const std::string& path) {
+  if (log.labels.empty()) {
+    throw std::runtime_error("guide: decision log " + path +
+                             " was cut before its header completed");
+  }
   if (log.digest != digest) {
     throw std::runtime_error(
         "guide: decision log " + path +
         " was recorded under a different campaign config (digest " +
-        hex16(log.digest) + ", expected " + hex16(digest) + ")");
+        wire::hex16(log.digest) + ", expected " + wire::hex16(digest) + ")");
   }
   if (log.labels.size() != arms.size()) {
     throw std::runtime_error("guide: decision log " + path + " has " +
@@ -309,7 +312,9 @@ class LogWriter {
             const std::map<std::uint64_t,
                            std::pair<std::size_t, std::uint64_t>>& existing) {
     close();
-    core::atomicWriteFile(path, renderDecisionLog(digest, arms, existing));
+    std::vector<std::string> labels;
+    for (const Arm& a : arms) labels.push_back(a.label());
+    core::atomicWriteFile(path, renderDecisionLog(digest, labels, existing));
     f_ = std::fopen(path.c_str(), "ab");
     if (f_ == nullptr) {
       throw std::runtime_error("guide: cannot open decision log " + path +
@@ -319,10 +324,8 @@ class LogWriter {
 
   void append(std::uint64_t idx, std::size_t arm, std::uint64_t seed) {
     if (f_ == nullptr) return;
-    std::fprintf(f_, "A %llu %llu %llu\n",
-                 static_cast<unsigned long long>(idx),
-                 static_cast<unsigned long long>(arm),
-                 static_cast<unsigned long long>(seed));
+    const std::string line = assignmentLine(idx, arm, seed);
+    std::fwrite(line.data(), 1, line.size(), f_);
     std::fflush(f_);
   }
 
@@ -418,7 +421,8 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
       throw std::runtime_error(
           "guide: journal " + journalPath +
           " belongs to a different campaign config (digest " +
-          hex16(jd.configDigest) + ", expected " + hex16(digest) + ")");
+          wire::hex16(jd.configDigest) + ", expected " + wire::hex16(digest) +
+          ")");
     }
     if (jd.total != budget) {
       throw std::runtime_error(
@@ -497,6 +501,20 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
   const std::size_t minRuns =
       std::max<std::size_t>(2 * arms.size(), opts.quietRuns);
 
+  // The guide owns the JSONL stream as it owns the journal: each fresh
+  // record is streamed as it folds, under its campaign-global run index (a
+  // resumed campaign appends to the stream its first invocation wrote).
+  std::ofstream jsonl;
+  if (!opts.farm.jsonlPath.empty()) {
+    jsonl.open(opts.farm.jsonlPath, opts.farm.jsonlAppend || resuming
+                                        ? std::ios::app
+                                        : std::ios::trunc);
+    if (!jsonl) {
+      throw std::runtime_error("guide: cannot open JSONL path " +
+                               opts.farm.jsonlPath);
+    }
+  }
+
   // Folds one record (journaled or fresh) in global index order.  All
   // campaign state — bandit rewards, coverage, fingerprints, stopping
   // rules — advances only here, which is what makes the folded prefix a
@@ -504,6 +522,9 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
   auto fold = [&](const experiment::RunObservation& obs, std::size_t armIdx,
                   bool fromJournal) {
     if (!fromJournal && journal.isOpen()) journal.append(obs);
+    if (!fromJournal && jsonl.is_open()) {
+      jsonl << farm::toJson(obs) << std::endl;
+    }
     if (fromJournal) ++g.resumed;
     g.records.push_back(obs);
     experiment::accumulate(g.result, obs);
@@ -620,20 +641,17 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
   // The in-process BatchRunner: the farm's thread pool, or under
   // WorkerModel::Process one local fleet of forked workers, created at the
   // first batch that executes a run and serving every later batch.  Each
-  // batch is a farm campaign over batch-local indices (JSONL, progress and
-  // stop rules as the farm has them); only the guide journals.
+  // batch is a farm campaign over batch-local indices (progress and stop
+  // rules as the farm has them); only the guide journals and streams JSONL.
   const bool isolated = opts.farm.model == farm::WorkerModel::Process &&
                         farm::detail::processIsolationSupported();
   std::unique_ptr<fleet::LocalFleet> localFleet;
-  bool streamed = false;
   BatchRunner inProcess = [&](const std::vector<GuideBatchRun>& batch) {
     farm::FarmOptions inner = opts.farm;
     inner.journalPath.clear();
     inner.resume = false;
     inner.journalConfig.clear();
-    // One JSONL stream across all batches of this invocation.
-    inner.jsonlAppend = opts.farm.jsonlAppend || streamed || !journaled.empty();
-    streamed = true;
+    inner.jsonlPath.clear();
     inner.stopOnRecord = nullptr;
     if (opts.stopOnFirstFind) {
       inner.stopOnRecord = [](const experiment::RunObservation& o) {

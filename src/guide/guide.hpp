@@ -34,6 +34,8 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "coverage/snapshot.hpp"
@@ -163,9 +165,12 @@ struct GuideOptions {
   /// in this process and cannot cross the wire, so runGuided throws when
   /// both are configured.
   BatchRunner batchRunner;
-  /// Farm passthrough: jobs, runTimeout, model, jsonl, progress, limits,
-  /// stopFlag... journalPath/resume are honored by the GUIDE (which owns
-  /// the journal so batches share one file); inner batches never journal.
+  /// Farm passthrough: jobs, runTimeout, model, progress, limits,
+  /// stopFlag... journalPath/resume and jsonlPath/jsonlAppend are honored
+  /// by the GUIDE, which owns the journal and the JSONL stream so batches
+  /// share one file each: records are written as they fold, in global
+  /// run-index order, under their campaign-global "run" index (the farm's
+  /// per-worker "worker" field has no meaning there and is omitted).
   /// Under WorkerModel::Process every batch runs on one local fleet of
   /// forked workers, created at the first batch that executes a run.
   /// With a batchRunner, jobs still fixes the batch width (and with it the
@@ -242,6 +247,33 @@ std::string observationFingerprint(const experiment::RunObservation& o);
 /// mismatch on resume/replay, decision log missing for journaled runs).
 GuideResult runGuided(const experiment::RunSpec& base,
                       const GuideOptions& opts);
+
+/// A parsed MTTGUIDE decision log:
+///
+///   MTTGUIDE 1
+///   config <16-hex FNV-1a of the campaign config text>
+///   arms <n>
+///   arm <index> <label>          (n lines; labels are single tokens)
+///   A <runIndex> <armIndex> <seed>
+struct DecisionLog {
+  std::uint64_t digest = 0;
+  std::vector<std::string> labels;
+  /// runIndex -> (arm index, seed); first occurrence wins.
+  std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>> assignments;
+  /// The text ended in an unterminated line, which was dropped (or the
+  /// header itself was cut short: then the log is empty).
+  bool tornTail = false;
+};
+
+/// Parses decision-log text (core/wire.hpp line split: '\n' commits a
+/// line, as in the journal).  A torn tail is dropped and flagged; a
+/// malformed committed line throws std::runtime_error naming `path`.
+DecisionLog parseDecisionLog(std::string_view text, const std::string& path);
+/// The log text holding exactly this header and these assignments.
+std::string renderDecisionLog(
+    std::uint64_t digest, const std::vector<std::string>& labels,
+    const std::map<std::uint64_t, std::pair<std::size_t, std::uint64_t>>&
+        assignments);
 
 /// Renders the per-arm allocation table plus the campaign summary
 /// (coverage, saturation, first find).  timing=false omits wall-clock

@@ -1,13 +1,10 @@
 #include "replay/replay.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/atomic_file.hpp"
+#include "core/wire.hpp"
 
 namespace mtt::replay {
 
@@ -17,30 +14,20 @@ namespace {
   throw std::runtime_error("bad scenario file " + path + ": " + why);
 }
 
-// Strict unsigned parse: every character must be a digit (operator>> would
-// accept "12abc" and leave the junk to confuse the next field).
-bool parseU64(const std::string& tok, std::uint64_t& out) {
-  if (tok.empty() || tok.size() > 20) return false;
-  out = 0;
-  for (char c : tok) {
-    if (c < '0' || c > '9') return false;
-    if (out > (~std::uint64_t{0} - (c - '0')) / 10) return false;  // overflow
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
-std::vector<rt::Decision> readDecisions(std::istream& f,
+std::vector<rt::Decision> readDecisions(wire::Tokens& in,
                                         const std::string& path,
                                         std::uint64_t n, int version) {
   if (n > kMaxScenarioDecisions) {
     badScenario(path, "implausible decision count " + std::to_string(n));
   }
   std::vector<rt::Decision> out;
-  out.reserve(static_cast<std::size_t>(n));
+  // Each decision is at least two bytes ("1\n"): a corrupt count reserves
+  // no more than the file could hold.
+  out.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      n, in.bytesLeft() / 2)));
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string tok;
-    if (!(f >> tok)) {
+    std::string_view tok;
+    if (!in.next(tok)) {
       badScenario(path, "truncated decision list (" + std::to_string(i) +
                             " of " + std::to_string(n) + " decisions)");
     }
@@ -52,7 +39,7 @@ std::vector<rt::Decision> readDecisions(std::istream& f,
                               " file");
       }
       std::uint64_t idx = 0;
-      if (!(f >> tok) || !parseU64(tok, idx)) {
+      if (!in.next(tok) || !wire::parseU64(tok, idx)) {
         badScenario(path,
                     "malformed store index at decision " + std::to_string(i));
       }
@@ -64,9 +51,9 @@ std::vector<rt::Decision> readDecisions(std::istream& f,
       continue;
     }
     std::uint64_t t = 0;
-    if (!parseU64(tok, t)) {
-      badScenario(path, "malformed decision '" + tok + "' at decision " +
-                            std::to_string(i));
+    if (!wire::parseU64(tok, t)) {
+      badScenario(path, "malformed decision '" + std::string(tok) +
+                            "' at decision " + std::to_string(i));
     }
     if (t == kNoThread || t > kMaxThreads) {
       badScenario(path, "invalid thread id " + std::to_string(t) +
@@ -77,49 +64,50 @@ std::vector<rt::Decision> readDecisions(std::istream& f,
   return out;
 }
 
-void writeDecisionLines(std::ostringstream& f, const rt::Schedule& s) {
+void appendDecisionLines(std::string& out, const rt::Schedule& s) {
   for (const rt::Decision& d : s.decisions) {
-    if (d.isStore()) f << "s " << d.value << '\n';
-    else f << d.value << '\n';
+    if (d.isStore()) out += "s ";
+    out += std::to_string(d.value);
+    out += '\n';
   }
 }
 
 }  // namespace
 
-void saveScenario(const Scenario& s, const std::string& path) {
-  char strength[64];
-  std::snprintf(strength, sizeof(strength), "%.17g", s.strength);
-  std::ostringstream f;
+std::string encodeScenario(const Scenario& s) {
   // Thread-pick-only schedules keep the historical version-2 encoding
   // byte-for-byte; only schedules with store picks need version 3.
-  f << (s.schedule.threadPicksOnly() ? "MTTSCHED 2\n" : "MTTSCHED 3\n")
-    << "program " << s.program << '\n'
-    << "seed " << s.seed << '\n'
-    << "policy " << s.policy << '\n'
-    << "noise " << s.noise << '\n'
-    << "strength " << strength << '\n'
-    << "decisions " << s.schedule.decisions.size() << '\n';
-  writeDecisionLines(f, s.schedule);
-  f << "end\n";
-  // Atomic write-then-rename: a crash mid-save leaves the previous witness
-  // (or nothing), never a torn scenario that later fails to load.
-  core::atomicWriteFile(path, f.str());
+  std::string out = s.schedule.threadPicksOnly() ? "MTTSCHED 2\n"
+                                                 : "MTTSCHED 3\n";
+  out += "program " + s.program + "\nseed " + std::to_string(s.seed) +
+         "\npolicy " + s.policy + "\nnoise " + s.noise + "\nstrength " +
+         wire::formatDouble(s.strength) + "\ndecisions " +
+         std::to_string(s.schedule.decisions.size()) + "\n";
+  appendDecisionLines(out, s.schedule);
+  out += "end\n";
+  return out;
 }
 
-Scenario loadScenario(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open scenario file " + path);
-  std::string magic;
-  int version = 0;
-  if (!(f >> magic) || magic != "MTTSCHED") {
+Scenario decodeScenario(std::string_view text, const std::string& path) {
+  // Tokens of the committed text only: a token (or the trailer) that the
+  // writer never finished with its '\n' is not read, so every strict
+  // prefix of a scenario is rejected.
+  wire::Tokens in(text);
+  std::string_view tok;
+  if (!in.next(tok) || tok != "MTTSCHED") {
     badScenario(path, "not a scenario/schedule file (bad magic)");
   }
-  if (!(f >> version)) badScenario(path, "missing format version");
+  std::uint64_t version = 0;
+  if (!in.next(tok) || !wire::parseU64(tok, version)) {
+    badScenario(path, "missing format version");
+  }
   Scenario s;
+  std::uint64_t n = 0;
   if (version == 1) {
-    std::uint64_t n = 0;
-    if (!(f >> n)) badScenario(path, "missing decision count");
-    s.schedule.decisions = readDecisions(f, path, n, 1);
+    if (!in.next(tok) || !wire::parseU64(tok, n)) {
+      badScenario(path, "missing decision count");
+    }
+    s.schedule.decisions = readDecisions(in, path, n, 1);
     return s;
   }
   if (version != 2 && version != 3) {
@@ -127,48 +115,70 @@ Scenario loadScenario(const std::string& path) {
   }
   // v2/v3 header: "key value" lines until the decisions count, then the
   // decision list, then the "end" trailer that catches truncation.
-  std::uint64_t n = 0;
-  bool haveCount = false;
-  for (std::string key; !haveCount;) {
-    if (!(f >> key)) badScenario(path, "truncated header");
+  for (bool haveCount = false; !haveCount;) {
+    std::string_view key, value;
+    if (!in.next(key)) badScenario(path, "truncated header");
+    if (!in.next(value)) {
+      badScenario(path, "truncated '" + std::string(key) + "' field");
+    }
+    bool ok = true;
     if (key == "program") {
-      if (!(f >> s.program)) badScenario(path, "truncated 'program' field");
+      s.program = value;
     } else if (key == "seed") {
-      if (!(f >> s.seed)) badScenario(path, "malformed 'seed' field");
+      ok = wire::parseU64(value, s.seed);
     } else if (key == "policy") {
-      if (!(f >> s.policy)) badScenario(path, "truncated 'policy' field");
+      s.policy = value;
     } else if (key == "noise") {
-      if (!(f >> s.noise)) badScenario(path, "truncated 'noise' field");
+      s.noise = value;
     } else if (key == "strength") {
-      if (!(f >> s.strength)) badScenario(path, "malformed 'strength' field");
+      ok = wire::parseDouble(value, s.strength);
     } else if (key == "decisions") {
-      if (!(f >> n)) badScenario(path, "malformed decision count");
+      ok = wire::parseU64(value, n);
       haveCount = true;
     } else {
-      badScenario(path, "unknown header key '" + key + "'");
+      badScenario(path, "unknown header key '" + std::string(key) + "'");
+    }
+    if (!ok) {
+      badScenario(path, haveCount ? std::string("malformed decision count")
+                                  : "malformed '" + std::string(key) +
+                                        "' field");
     }
   }
-  s.schedule.decisions = readDecisions(f, path, n, version);
-  std::string trailer;
-  if (!(f >> trailer) || trailer != "end") {
+  s.schedule.decisions = readDecisions(in, path, n, static_cast<int>(version));
+  if (!in.next(tok) || tok != "end") {
     badScenario(path, "missing 'end' trailer (file truncated?)");
   }
   return s;
 }
 
+void saveScenario(const Scenario& s, const std::string& path) {
+  // Atomic write-then-rename: a crash mid-save leaves the previous witness
+  // (or nothing), never a torn scenario that later fails to load.
+  core::atomicWriteFile(path, encodeScenario(s));
+}
+
+Scenario loadScenario(const std::string& path) {
+  std::string text;
+  if (!core::readFile(path, text)) {
+    throw std::runtime_error("cannot open scenario file " + path);
+  }
+  return decodeScenario(text, path);
+}
+
 void saveSchedule(const rt::Schedule& s, const std::string& path) {
-  std::ostringstream f;
+  std::string out;
   if (s.threadPicksOnly()) {
     // Historical bare-schedule format, byte-identical.
-    f << "MTTSCHED 1\n" << s.decisions.size() << '\n';
-    for (const rt::Decision& d : s.decisions) f << d.value << '\n';
+    out = "MTTSCHED 1\n" + std::to_string(s.decisions.size()) + "\n";
+    appendDecisionLines(out, s);
   } else {
     // Headerless version 3: the loader's header loop accepts zero keys.
-    f << "MTTSCHED 3\n" << "decisions " << s.decisions.size() << '\n';
-    writeDecisionLines(f, s);
-    f << "end\n";
+    out = "MTTSCHED 3\ndecisions " + std::to_string(s.decisions.size()) +
+          "\n";
+    appendDecisionLines(out, s);
+    out += "end\n";
   }
-  core::atomicWriteFile(path, f.str());
+  core::atomicWriteFile(path, out);
 }
 
 rt::Schedule loadSchedule(const std::string& path) {

@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/event.hpp"
@@ -66,16 +67,22 @@ inline constexpr std::size_t kMaxScenarioDecisions = 16u << 20;
 /// larger is corruption.
 inline constexpr std::uint32_t kMaxScenarioStoreIndex = 255;
 
-/// Writes a scenario file, creating parent directories as needed.  Emits
-/// version 2 when the schedule contains only thread picks (byte-identical
-/// to the historical format), version 3 otherwise.
+/// The MTTSCHED text of a scenario: version 2 when the schedule contains
+/// only thread picks (byte-identical to the historical format), version 3
+/// otherwise.  saveScenario writes it atomically, creating parent
+/// directories as needed.
+std::string encodeScenario(const Scenario& s);
 void saveScenario(const Scenario& s, const std::string& path);
 
-/// Loads a version-1, -2, or -3 scenario file.  Hardened: a missing,
-/// truncated, or corrupt file (bad magic, unsupported version, malformed
-/// header, implausible decision count, invalid thread id or store index,
-/// missing trailer) throws std::runtime_error with a diagnostic naming the
-/// path and the defect — never UB and never a silently empty schedule.
+/// Parses a version-1, -2, or -3 scenario (core/wire.hpp tokens: only text
+/// up to the last '\n' counts, so a torn trailer is a missing trailer).
+/// Hardened: a truncated or corrupt text (bad magic, unsupported version,
+/// malformed header, a number that is not a whole decimal token, invalid
+/// thread id or store index, missing trailer) throws std::runtime_error
+/// with a diagnostic naming `path` and the defect — never UB and never a
+/// silently empty schedule.  Bytes after the trailer (postmortem
+/// annotations) are ignored.  loadScenario also throws on a missing file.
+Scenario decodeScenario(std::string_view text, const std::string& path);
 Scenario loadScenario(const std::string& path);
 
 /// Legacy helpers: bare-schedule persistence (version-1 file format for

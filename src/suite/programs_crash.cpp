@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "core/wire.hpp"
 #include "suite/register_parts.hpp"
 #include "suite/program.hpp"
 
@@ -124,10 +125,9 @@ class WallStall final : public Program {
       int g = go.read(site("stall.check", BugMark::Yes));
       if (g == 0) {
         stalled_ = true;
-        long ms = 2000;
-        if (const char* env = std::getenv("MTT_STALL_MS")) {
-          ms = std::atol(env);
-        }
+        std::uint64_t ms = 2000;
+        const char* env = std::getenv("MTT_STALL_MS");
+        if (env != nullptr && !wire::parseU64(env, ms)) ms = 0;
         if (ms > 0) {
           // Real wall-clock stall, opaque to the virtual-time scheduler:
           // the run hangs until the farm watchdog kills the worker.

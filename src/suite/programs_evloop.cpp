@@ -28,6 +28,7 @@
 // defect; the fixes are correct for *every* callback order (the control
 // variants are exploration-clean), and the three bugs bucket under distinct
 // triage fingerprints (different bug-marked sites and failure shapes).
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -443,7 +444,13 @@ class QuotaSessionsBase : public Program {
     constexpr int kQuota = 4;
     constexpr int kArrivalBatch = 16;
 
-    EventLoop loop(rt, "sess.loop");
+    // The loop registers its objects first (their ids are part of the
+    // recorded schedule) but must be destroyed first: its destructor reaps
+    // the tasklets, which in an aborted native run are still executing
+    // callbacks over the state declared below.  reapLoop, declared last,
+    // does that.
+    std::optional<EventLoop> loopSlot;
+    EventLoop& loop = loopSlot.emplace(rt, "sess.loop");
     // Callback-owned state (single slot => callbacks are atomic).
     std::vector<int> pending;
     std::vector<int> roundsLeft(kSessions, 0);
@@ -523,6 +530,11 @@ class QuotaSessionsBase : public Program {
           },
           250, site("sess.idle.post"));
     };
+
+    struct ReapLoop {
+      std::optional<EventLoop>& slot;
+      ~ReapLoop() { slot.reset(); }
+    } reapLoop{loopSlot};
 
     // Sessions arrive in batches, racing the dispatcher; odd sessions need
     // two rounds of service (their re-queues race the idle decision).

@@ -16,12 +16,14 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/atomic_file.hpp"
+#include "core/wire.hpp"
 
 namespace mtt::trace {
 
@@ -107,7 +109,7 @@ void writeText(const Trace& t, std::ostream& os) {
        << (e.bugSite == BugMark::Yes ? 1 : 0) << '\n';
   }
   os << "end\n";
-  if (!os) throw std::runtime_error("mtt: trace write failed");
+  if (!os) throw std::runtime_error("trace write failed");
 }
 
 Trace readText(std::istream& is) {
@@ -198,7 +200,7 @@ void writeTextFile(const Trace& t, const std::string& path) {
 
 Trace readTextFile(const std::string& path) {
   std::ifstream f(path);
-  if (!f) throw std::runtime_error("mtt: cannot open " + path);
+  if (!f) throw std::runtime_error("cannot open " + path);
   return readText(f);
 }
 
@@ -206,173 +208,109 @@ Trace readTextFile(const std::string& path) {
 
 namespace {
 
-void putU32(std::ostream& os, std::uint32_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void putU64(std::ostream& os, std::uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-void putStr(std::ostream& os, const std::string& s) {
-  putU32(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-std::uint32_t getU32(std::istream& is) {
-  std::uint32_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("mtt: truncated binary trace");
-  return v;
-}
-std::uint64_t getU64(std::istream& is) {
-  std::uint64_t v = 0;
-  is.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!is) throw std::runtime_error("mtt: truncated binary trace");
-  return v;
-}
-std::string getStr(std::istream& is) {
-  std::uint32_t n = getU32(is);
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  if (!is) throw std::runtime_error("mtt: truncated binary trace");
-  return s;
-}
-
-// Varint layer (format version 2).  Unsigned LEB128; signed values zigzag.
-void putVar(std::ostream& os, std::uint64_t v) {
-  while (v >= 0x80) {
-    char b = static_cast<char>((v & 0x7f) | 0x80);
-    os.write(&b, 1);
-    v >>= 7;
-  }
-  char b = static_cast<char>(v);
-  os.write(&b, 1);
-}
-
-std::uint64_t getVar(std::istream& is) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    char c = 0;
-    is.read(&c, 1);
-    if (!is) throw std::runtime_error("mtt: truncated binary trace");
-    auto b = static_cast<std::uint8_t>(c);
-    if (shift >= 64) throw std::runtime_error("mtt: malformed varint");
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-void putVarStr(std::ostream& os, const std::string& s) {
-  putVar(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string getVarStr(std::istream& is) {
-  std::uint64_t n = getVar(is);
-  std::string s(static_cast<std::size_t>(n), '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  if (!is) throw std::runtime_error("mtt: truncated binary trace");
-  return s;
-}
-
+constexpr char kBinaryFormat[] = "binary trace";
 constexpr std::uint8_t kBugFlag = 0x80;  // high bit of the v2 kind byte
 
-Trace readBinaryV1(std::istream& is) {
-  Trace t;
-  t.programName = getStr(is);
-  t.seed = getU64(is);
-  t.mode = getU32(is) ? RuntimeMode::Controlled : RuntimeMode::Native;
-  for (std::uint32_t n = getU32(is); n > 0; --n) {
-    ThreadId id = getU32(is);
-    t.threads[id] = getStr(is);
+EventKind checkedKind(wire::Reader& r, std::uint64_t k) {
+  if (k >= static_cast<std::uint64_t>(EventKind::kCount)) {
+    r.fail("unknown event kind " + std::to_string(k));
   }
-  for (std::uint32_t n = getU32(is); n > 0; --n) {
-    ObjectId id = getU32(is);
+  return static_cast<EventKind>(k);
+}
+
+rt::ObjectKind checkedObjectKind(wire::Reader& r, std::uint64_t k) {
+  if (k > static_cast<std::uint64_t>(rt::ObjectKind::Atomic)) {
+    r.fail("unknown object kind " + std::to_string(k));
+  }
+  return static_cast<rt::ObjectKind>(k);
+}
+
+// Version 1: fixed-width little-endian fields, u32-length strings.
+Trace decodeV1(wire::Reader& r) {
+  auto str = [&r] { return std::string(r.bytes(r.u32le())); };
+  Trace t;
+  t.programName = str();
+  t.seed = r.u64le();
+  t.mode = r.u32le() ? RuntimeMode::Controlled : RuntimeMode::Native;
+  for (auto n = r.fits(r.u32le(), 8, "thread"); n > 0; --n) {
+    ThreadId id = r.u32le();
+    t.threads[id] = str();
+  }
+  for (auto n = r.fits(r.u32le(), 12, "object"); n > 0; --n) {
+    ObjectId id = r.u32le();
     ObjectSym sym;
-    sym.kind = static_cast<rt::ObjectKind>(getU32(is));
-    sym.name = getStr(is);
+    sym.kind = checkedObjectKind(r, r.u32le());
+    sym.name = str();
     t.objects[id] = std::move(sym);
   }
-  for (std::uint32_t n = getU32(is); n > 0; --n) {
-    SiteId id = getU32(is);
+  for (auto n = r.fits(r.u32le(), 20, "site"); n > 0; --n) {
+    SiteId id = r.u32le();
     SiteSym sym;
-    sym.bug = getU32(is) != 0;
-    sym.line = getU32(is);
-    sym.file = getStr(is);
-    sym.tag = getStr(is);
+    sym.bug = r.u32le() != 0;
+    sym.line = r.u32le();
+    sym.file = str();
+    sym.tag = str();
     t.sites[id] = std::move(sym);
   }
-  std::uint64_t count = getU64(is);
-  t.events.reserve(count);
+  const std::uint64_t count = r.fits(r.u64le(), 32, "event");
+  t.events.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     Event e;
-    e.seq = getU64(is);
-    e.thread = getU32(is);
-    e.kind = static_cast<EventKind>(getU32(is));
-    e.object = getU32(is);
-    e.syncSite = getU32(is);
-    e.arg = getU32(is);
-    e.bugSite = getU32(is) ? BugMark::Yes : BugMark::No;
+    e.seq = r.u64le();
+    e.thread = r.u32le();
+    e.kind = checkedKind(r, r.u32le());
+    e.object = r.u32le();
+    e.syncSite = r.u32le();
+    e.arg = r.u32le();
+    e.bugSite = r.u32le() ? BugMark::Yes : BugMark::No;
     e.access = access_of(e.kind);
     t.events.push_back(e);
   }
   return t;
 }
 
-Trace readBinaryV2(std::istream& is) {
+// Version 2: LEB128 varints, varint-length strings, zigzag sequence deltas.
+Trace decodeV2(wire::Reader& r) {
   Trace t;
-  t.programName = getVarStr(is);
-  t.seed = getVar(is);
-  t.mode = getVar(is) ? RuntimeMode::Controlled : RuntimeMode::Native;
-  for (std::uint64_t n = getVar(is); n > 0; --n) {
-    auto id = static_cast<ThreadId>(getVar(is));
-    t.threads[id] = getVarStr(is);
+  t.programName = r.lenBytes();
+  t.seed = r.varint();
+  t.mode = r.varint() ? RuntimeMode::Controlled : RuntimeMode::Native;
+  for (auto n = r.count(2, "thread"); n > 0; --n) {
+    ThreadId id = r.varint32();
+    t.threads[id] = r.lenBytes();
   }
-  for (std::uint64_t n = getVar(is); n > 0; --n) {
-    auto id = static_cast<ObjectId>(getVar(is));
+  for (auto n = r.count(3, "object"); n > 0; --n) {
+    ObjectId id = r.varint32();
     ObjectSym sym;
-    sym.kind = static_cast<rt::ObjectKind>(getVar(is));
-    sym.name = getVarStr(is);
+    sym.kind = checkedObjectKind(r, r.varint());
+    sym.name = r.lenBytes();
     t.objects[id] = std::move(sym);
   }
-  for (std::uint64_t n = getVar(is); n > 0; --n) {
-    auto id = static_cast<SiteId>(getVar(is));
+  for (auto n = r.count(5, "site"); n > 0; --n) {
+    SiteId id = r.varint32();
     SiteSym sym;
-    sym.bug = getVar(is) != 0;
-    sym.line = static_cast<std::uint32_t>(getVar(is));
-    sym.file = getVarStr(is);
-    sym.tag = getVarStr(is);
+    sym.bug = r.varint() != 0;
+    sym.line = r.varint32();
+    sym.file = r.lenBytes();
+    sym.tag = r.lenBytes();
     t.sites[id] = std::move(sym);
   }
-  std::uint64_t count = getVar(is);
+  const std::uint64_t count = r.count(6, "event");
   t.events.reserve(static_cast<std::size_t>(count));
-  std::int64_t prevSeq = 0;
+  std::uint64_t seq = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     Event e;
-    std::uint64_t kindByte = getVar(is);
+    const std::uint64_t kindByte = r.varint();
     e.bugSite = (kindByte & kBugFlag) ? BugMark::Yes : BugMark::No;
-    e.kind = static_cast<EventKind>(kindByte & ~std::uint64_t{kBugFlag});
-    if (e.kind >= EventKind::kCount) {
-      throw std::runtime_error("mtt: binary trace has unknown event kind");
-    }
+    e.kind = checkedKind(r, kindByte & ~std::uint64_t{kBugFlag});
     // Sequence numbers are near-monotone (native-mode arrival order can
     // locally reorder), so a signed delta is 1 byte in the common case.
-    prevSeq += unzigzag(getVar(is));
-    e.seq = static_cast<std::uint64_t>(prevSeq);
-    e.thread = static_cast<ThreadId>(getVar(is));
-    e.object = static_cast<ObjectId>(getVar(is));
-    e.syncSite = static_cast<SiteId>(getVar(is));
-    e.arg = static_cast<std::uint32_t>(getVar(is));
+    seq += static_cast<std::uint64_t>(wire::unzigzag(r.varint()));
+    e.seq = seq;
+    e.thread = r.varint32();
+    e.object = r.varint32();
+    e.syncSite = r.varint32();
+    e.arg = r.varint32();
     e.access = access_of(e.kind);
     t.events.push_back(e);
   }
@@ -381,71 +319,84 @@ Trace readBinaryV2(std::istream& is) {
 
 }  // namespace
 
-void writeBinary(const Trace& t, std::ostream& os) {
-  os.write("MTTB", 4);
-  putU32(os, 2);  // version (fixed-width so readers can branch cheaply)
-  putVarStr(os, t.programName);
-  putVar(os, t.seed);
-  putVar(os, t.mode == RuntimeMode::Controlled ? 1 : 0);
-  putVar(os, t.threads.size());
+std::string encodeBinary(const Trace& t) {
+  std::string out = "MTTB";
+  wire::putU32le(out, 2);  // version (fixed-width so readers branch cheaply)
+  wire::putBytes(out, t.programName);
+  wire::putVarint(out, t.seed);
+  wire::putVarint(out, t.mode == RuntimeMode::Controlled ? 1 : 0);
+  wire::putVarint(out, t.threads.size());
   for (const auto& [id, name] : t.threads) {
-    putVar(os, id);
-    putVarStr(os, name);
+    wire::putVarint(out, id);
+    wire::putBytes(out, name);
   }
-  putVar(os, t.objects.size());
+  wire::putVarint(out, t.objects.size());
   for (const auto& [id, sym] : t.objects) {
-    putVar(os, id);
-    putVar(os, static_cast<std::uint64_t>(sym.kind));
-    putVarStr(os, sym.name);
+    wire::putVarint(out, id);
+    wire::putVarint(out, static_cast<std::uint64_t>(sym.kind));
+    wire::putBytes(out, sym.name);
   }
-  putVar(os, t.sites.size());
+  wire::putVarint(out, t.sites.size());
   for (const auto& [id, sym] : t.sites) {
-    putVar(os, id);
-    putVar(os, sym.bug ? 1 : 0);
-    putVar(os, sym.line);
-    putVarStr(os, sym.file);
-    putVarStr(os, sym.tag);
+    wire::putVarint(out, id);
+    wire::putVarint(out, sym.bug ? 1 : 0);
+    wire::putVarint(out, sym.line);
+    wire::putBytes(out, sym.file);
+    wire::putBytes(out, sym.tag);
   }
-  putVar(os, t.events.size());
-  std::int64_t prevSeq = 0;
+  wire::putVarint(out, t.events.size());
+  std::uint64_t prevSeq = 0;
   for (const Event& e : t.events) {
-    std::uint64_t kindByte = static_cast<std::uint64_t>(e.kind) |
-                             (e.bugSite == BugMark::Yes ? kBugFlag : 0);
-    putVar(os, kindByte);
-    auto seq = static_cast<std::int64_t>(e.seq);
-    putVar(os, zigzag(seq - prevSeq));
-    prevSeq = seq;
-    putVar(os, e.thread);
-    putVar(os, e.object);
-    putVar(os, e.syncSite);
-    putVar(os, e.arg);
+    wire::putVarint(out, static_cast<std::uint64_t>(e.kind) |
+                             (e.bugSite == BugMark::Yes ? kBugFlag : 0));
+    wire::putVarint(out,
+                    wire::zigzag(static_cast<std::int64_t>(e.seq - prevSeq)));
+    prevSeq = e.seq;
+    wire::putVarint(out, e.thread);
+    wire::putVarint(out, e.object);
+    wire::putVarint(out, e.syncSite);
+    wire::putVarint(out, e.arg);
   }
-  if (!os) throw std::runtime_error("mtt: binary trace write failed");
+  return out;
+}
+
+Trace decodeBinary(std::string_view bytes) {
+  wire::Reader r(bytes, kBinaryFormat);
+  if (r.remaining() < 4 || bytes.substr(0, 4) != "MTTB") r.fail("bad magic");
+  r.bytes(4);
+  const std::uint32_t version = r.u32le();
+  Trace t;
+  if (version == 1) {
+    t = decodeV1(r);
+  } else if (version == 2) {
+    t = decodeV2(r);
+  } else {
+    r.fail("unsupported version " + std::to_string(version));
+  }
+  r.expectEnd();
+  return t;
+}
+
+void writeBinary(const Trace& t, std::ostream& os) {
+  const std::string bytes = encodeBinary(t);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!os) throw std::runtime_error("binary trace write failed");
 }
 
 Trace readBinary(std::istream& is) {
-  char magic[4] = {};
-  is.read(magic, 4);
-  if (!is || std::memcmp(magic, "MTTB", 4) != 0) {
-    throw std::runtime_error("mtt: not a binary trace");
-  }
-  std::uint32_t version = getU32(is);
-  if (version == 1) return readBinaryV1(is);
-  if (version == 2) return readBinaryV2(is);
-  throw std::runtime_error("mtt: unsupported trace version " +
-                           std::to_string(version));
+  return decodeBinary(std::string(std::istreambuf_iterator<char>(is), {}));
 }
 
 void writeBinaryFile(const Trace& t, const std::string& path) {
-  std::ostringstream f(std::ios::binary);
-  writeBinary(t, f);
-  core::atomicWriteFile(path, f.str());
+  core::atomicWriteFile(path, encodeBinary(t));
 }
 
 Trace readBinaryFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("mtt: cannot open " + path);
-  return readBinary(f);
+  std::string bytes;
+  if (!core::readFile(path, bytes)) {
+    throw std::runtime_error("cannot open " + path);
+  }
+  return decodeBinary(bytes);
 }
 
 // --- auto-detecting readers ---------------------------------------------------
@@ -458,7 +409,7 @@ TraceFormat detectFormat(std::istream& is) {
   char magic[4] = {};
   is.read(magic, 4);
   if (!is || std::memcmp(magic, "MTT", 3) != 0) {
-    throw std::runtime_error("mtt: not a trace (bad magic)");
+    throw std::runtime_error("not a trace (bad magic)");
   }
   for (int i = 3; i >= 0; --i) is.putback(magic[i]);
   return magic[3] == 'B' ? TraceFormat::Binary : TraceFormat::Text;
@@ -466,23 +417,14 @@ TraceFormat detectFormat(std::istream& is) {
 
 }  // namespace
 
-Trace read(std::istream& is) {
-  return detectFormat(is) == TraceFormat::Binary ? readBinary(is)
-                                                 : readText(is);
-}
+Trace read(std::istream& is) { return TraceReader(is).take(); }
 
-Trace readFile(const std::string& path) {
-  // Binary-safe open either way; the text parser reads through getline.
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("mtt: cannot open " + path);
-  return read(f);
-}
+Trace readFile(const std::string& path) { return TraceReader(path).take(); }
 
 TraceReader::TraceReader(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("mtt: cannot open " + path);
-  format_ = detectFormat(f);
-  trace_ = format_ == TraceFormat::Binary ? readBinary(f) : readText(f);
+  if (!f) throw std::runtime_error("cannot open " + path);
+  *this = TraceReader(f);
 }
 
 TraceReader::TraceReader(std::istream& is) {

@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/event.hpp"
@@ -74,7 +75,13 @@ Trace readTextFile(const std::string& path);
 /// emits format version 2: events are varint-encoded (LEB128) with
 /// zigzag-delta sequence numbers and a packed kind/bug byte, so a typical
 /// event costs a few bytes instead of 36.  The reader also accepts the
-/// fixed-width version-1 layout of earlier builds.
+/// fixed-width version-1 layout of earlier builds.  Both are built on
+/// core/wire.hpp: the reader takes the whole stream once and decodes from
+/// the buffer, checking every length and count against the bytes left, and
+/// any defect (truncation, trailing bytes, unknown kind) throws one
+/// std::runtime_error starting "binary trace: ".
+std::string encodeBinary(const Trace& t);
+Trace decodeBinary(std::string_view bytes);
 void writeBinary(const Trace& t, std::ostream& os);
 void writeBinaryFile(const Trace& t, const std::string& path);
 Trace readBinary(std::istream& is);

@@ -1,13 +1,12 @@
 #include "triage/corpus.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/atomic_file.hpp"
+#include "core/wire.hpp"
 #include "triage/probe.hpp"
 
 namespace mtt::triage {
@@ -34,22 +33,13 @@ void writeMeta(const fs::path& path, const CorpusEntry& e) {
   out << "verified " << (e.replayVerified ? 1 : 0) << '\n';
   out << "shrunk " << (e.shrunk ? 1 : 0) << '\n';
   out << "noise " << e.noise << '\n';
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", e.strength);
-  out << "strength " << buf << '\n';
+  out << "strength " << wire::formatDouble(e.strength) << '\n';
   std::istringstream canon(e.canonical);
   for (std::string line; std::getline(canon, line);) {
     out << "sig " << line << '\n';
   }
   out << "end\n";
   core::atomicWriteFile(path.string(), out.str());
-}
-
-bool parseU64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end && *end == '\0';
 }
 
 }  // namespace
@@ -79,35 +69,37 @@ std::optional<CorpusEntry> Corpus::loadEntry(const fs::path& dir) const {
     auto space = line.find(' ');
     std::string key = line.substr(0, space);
     std::string val = space == std::string::npos ? "" : line.substr(space + 1);
-    std::uint64_t n = 0;
+    bool ok = true;
     if (key == "program") {
       e.program = val;
     } else if (key == "fingerprint") {
       e.fingerprint = val;
     } else if (key == "kind") {
       e.kind = val;
-    } else if (key == "seed" && parseU64(val, n)) {
-      e.seed = n;
-    } else if (key == "decisions" && parseU64(val, n)) {
-      e.decisions = n;
-    } else if (key == "preemptions" && parseU64(val, n)) {
-      e.preemptions = n;
-    } else if (key == "discovered" && parseU64(val, n)) {
-      e.discovered = n;
-    } else if (key == "verified") {
-      e.replayVerified = val == "1";
-    } else if (key == "shrunk") {
-      e.shrunk = val == "1";
     } else if (key == "noise") {
       e.noise = val;
+    } else if (key == "seed") {
+      ok = wire::parseU64(val, e.seed);
+    } else if (key == "decisions") {
+      ok = wire::parseU64(val, e.decisions);
+    } else if (key == "preemptions") {
+      ok = wire::parseU64(val, e.preemptions);
+    } else if (key == "discovered") {
+      ok = wire::parseU64(val, e.discovered);
+    } else if (key == "verified") {
+      ok = wire::parseBool(val, e.replayVerified);
+    } else if (key == "shrunk") {
+      ok = wire::parseBool(val, e.shrunk);
     } else if (key == "strength") {
-      e.strength = std::strtod(val.c_str(), nullptr);
+      ok = wire::parseDouble(val, e.strength);
     } else if (key == "sig") {
       e.canonical += val;
       e.canonical += '\n';
     } else {
-      return std::nullopt;  // unknown key: treat the bucket as corrupt
+      ok = false;
     }
+    // An unknown key or a malformed value marks the bucket corrupt.
+    if (!ok) return std::nullopt;
   }
   if (!sawEnd || e.program.empty() || e.fingerprint.empty()) {
     return std::nullopt;

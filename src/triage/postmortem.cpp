@@ -1,51 +1,44 @@
 #include "triage/postmortem.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "core/atomic_file.hpp"
+#include "core/wire.hpp"
 
 namespace mtt::triage {
 
-namespace {
-
-/// The dump's annotation block: everything after the scenario's "end"
-/// trailer, which replay::loadScenario deliberately ignores.
-std::vector<std::string> annotationLines(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open postmortem file " + path);
-  std::vector<std::string> out;
-  bool past = false;
-  for (std::string line; std::getline(in, line);) {
-    if (!past) {
-      past = line == "end";
-      continue;
-    }
-    if (line == "endpostmortem") break;
-    if (!line.empty()) out.push_back(line);
-  }
-  return out;
-}
-
-}  // namespace
-
 PostmortemInfo loadPostmortem(const std::string& path,
                               const std::string& status) {
+  std::string text;
+  if (!core::readFile(path, text)) {
+    throw std::runtime_error("cannot open postmortem file " + path);
+  }
   PostmortemInfo info;
-  info.scenario = replay::loadScenario(path);
+  info.scenario = replay::decodeScenario(text, path);
 
   info.signature.kind =
       status == "timeout" ? FailureKind::Timeout : FailureKind::Crash;
 
-  // The shape mirrors the in-process signatures: normalized, sorted lines.
-  // The signal stays verbatim (normalizing "signal 11" to "signal #" would
-  // merge SIGSEGV and SIGBUS buckets); event/heldlock lines are normalized
-  // so object and thread ids do not split buckets.
+  // The annotation block is every committed line between the scenario's
+  // "end" trailer (decodeScenario ignores what follows it) and
+  // "endpostmortem".  The shape mirrors the in-process signatures:
+  // normalized, sorted lines.  The signal stays verbatim (normalizing
+  // "signal 11" to "signal #" would merge SIGSEGV and SIGBUS buckets);
+  // event/heldlock lines are normalized so object and thread ids do not
+  // split buckets.
   std::vector<std::string> eventTail;
-  for (const std::string& line : annotationLines(path)) {
-    if (line.rfind("postmortem signal ", 0) == 0) {
-      info.signal = std::atoi(line.c_str() + 18);
+  bool past = false;
+  for (std::string_view view : wire::splitLines(text).complete) {
+    const std::string line(view);
+    if (!past) {
+      past = line == "end";
+    } else if (line == "endpostmortem") {
+      break;
+    } else if (line.rfind("postmortem signal ", 0) == 0) {
+      std::uint32_t signo = 0;  // a mangled number reads as signal 0
+      wire::parseU32(view.substr(18), signo);
+      info.signal = static_cast<int>(signo);
       info.signature.shape.push_back("signal " +
                                      std::to_string(info.signal));
     } else if (line == "truncated") {

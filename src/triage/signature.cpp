@@ -1,10 +1,10 @@
 #include "triage/signature.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/hash.hpp"
 #include "core/site.hpp"
+#include "core/wire.hpp"
 
 namespace mtt::triage {
 
@@ -77,10 +77,7 @@ std::string FailureSignature::canonical() const {
 std::string FailureSignature::fingerprint() const {
   // FNV-1a 64-bit over the canonical text: stable across platforms and
   // process runs.
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(core::fnv1a64(canonical())));
-  return buf;
+  return wire::hex16(core::fnv1a64(canonical()));
 }
 
 void SignatureCollector::onRunStart(const RunInfo& info) {

@@ -210,7 +210,8 @@ TEST(ParsePlan, AcceptsPresetsAndCompoundRules) {
 
 TEST(ParsePlan, RejectsMalformedSpecsWithGrammar) {
   for (const char* bad : {"", "tornado", "sever:prob", "sever:prob=nope",
-                          "sever:color=red", "sever:prob=2"}) {
+                          "sever:color=red", "sever:prob=2", "sever:times=-1",
+                          "stall:ms=-5", "sever:prob=0.5x"}) {
     EXPECT_THROW(
         {
           try {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/wire.hpp"
 #include "coverage/coverage.hpp"
 #include "model/static.hpp"
 #include "rt/harness.hpp"
@@ -320,9 +321,9 @@ TEST(Snapshot, DecodeSurvivesSingleByteCorruption) {
 
 TEST(Snapshot, HexTransportRoundTrips) {
   const std::string raw("\x00\x7f\xff MSNP", 8);
-  EXPECT_EQ(fromHex(toHex(raw)), raw);
-  EXPECT_THROW(fromHex("abc"), std::runtime_error);   // odd length
-  EXPECT_THROW(fromHex("zz"), std::runtime_error);    // non-hex
+  EXPECT_EQ(wire::fromHex(wire::toHex(raw)), raw);
+  EXPECT_THROW(wire::fromHex("abc"), std::runtime_error);   // odd length
+  EXPECT_THROW(wire::fromHex("zz"), std::runtime_error);    // non-hex
 }
 
 TEST(ResetTool, PreservesOpenUniverseAcrossRuns) {

@@ -170,6 +170,9 @@ TEST(Experiment, PolicyGrammarRejectsMalformedSpecsNamingTheGrammar) {
   expectBad("random:switch=2");  // probability out of range
   expectBad("rr:d=1");           // rr takes no parameters
   expectBad("pos:d=1");          // pos takes no parameters
+  expectBad("pct:d=-1");         // negative: not a non-negative integer
+  expectBad("pct:d= 3");         // leading blank inside the value
+  expectBad("pct:k=+8");         // explicit sign
   // Unknown base names keep the plain unknown-policy diagnostic with the
   // valid list (validateToolConfig path).
   ToolConfig tc;

@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "core/stats.hpp"
+#include "core/wire.hpp"
 #include "farm/farm.hpp"
 #include "farm/journal.hpp"
 #include "replay/replay.hpp"
@@ -144,6 +145,26 @@ TEST(RecordIo, DecodeRejectsGarbage) {
   experiment::RunObservation o;
   EXPECT_FALSE(decodePipeRecord("not a record", o));
   EXPECT_FALSE(decodePipeRecord("", o));
+  // Strict fields: every numeric field is one whole decimal token and every
+  // flag is 0 or 1, so a mangled record is rejected, not half-read.
+  const std::string good = encodePipeRecord(o);
+  ASSERT_TRUE(decodePipeRecord(good, o));
+  auto withField = [&good](std::size_t index, const std::string& value) {
+    std::vector<std::string> f;
+    for (std::string_view v : wire::splitFields(good)) f.emplace_back(v);
+    f[index] = value;
+    std::string line;
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      line += (i == 0 ? "" : "\t") + f[i];
+    }
+    return line;
+  };
+  for (const char* bad : {"12abc", "-1", " 7"}) {
+    EXPECT_FALSE(decodePipeRecord(withField(0, bad), o)) << bad;   // index
+    EXPECT_FALSE(decodePipeRecord(withField(6, bad), o)) << bad;   // warnings
+    EXPECT_FALSE(decodePipeRecord(withField(15, bad), o)) << bad;  // attempts
+  }
+  EXPECT_FALSE(decodePipeRecord(withField(3, "2"), o));  // manifested flag
 }
 
 TEST(RecordIo, EscapeHelpersRoundTripSeparatorBytes) {
@@ -157,22 +178,27 @@ TEST(RecordIo, EscapeHelpersRoundTripSeparatorBytes) {
       "\t\n\r\\\t\n\r\\",
       std::string("embedded\0nul", 12),
   };
+  auto unescape = [](std::string_view field) {
+    std::string out;
+    EXPECT_TRUE(wire::unescapeField(field, out)) << field;
+    return out;
+  };
   for (const std::string& s : nasty) {
     std::string enc;
-    appendEscapedField(enc, s);
+    wire::appendEscapedField(enc, s);
     EXPECT_EQ(enc.find('\t'), std::string::npos);
     EXPECT_EQ(enc.find('\n'), std::string::npos);
-    EXPECT_EQ(unescapeField(enc), s);
+    EXPECT_EQ(unescape(enc), s);
   }
   // Escaped fields split cleanly even when the raw values contain tabs.
   std::string joined;
-  appendEscapedField(joined, "a\tb");
+  wire::appendEscapedField(joined, "a\tb");
   joined += '\t';
-  appendEscapedField(joined, "c\nd");
-  std::vector<std::string> fields = splitTabFields(joined);
+  wire::appendEscapedField(joined, "c\nd");
+  std::vector<std::string_view> fields = wire::splitFields(joined);
   ASSERT_EQ(fields.size(), 2u);
-  EXPECT_EQ(unescapeField(fields[0]), "a\tb");
-  EXPECT_EQ(unescapeField(fields[1]), "c\nd");
+  EXPECT_EQ(unescape(fields[0]), "a\tb");
+  EXPECT_EQ(unescape(fields[1]), "c\nd");
 }
 
 TEST(RecordIo, EveryBytePrefixDecodesOrRejectsCleanly) {

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 
 #include "farm/journal.hpp"
 #include "fleet/coordinator.hpp"
@@ -542,6 +544,97 @@ TEST(Guided, DecisionLogRoundTripsThroughDisk) {
   }
   EXPECT_EQ(armLines, 2u);       // yield@0.25, mixed@0.25
   EXPECT_EQ(assignments, 6u);    // one per budgeted run
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Guided, TornDecisionLogTailIsDroppedNotMisread) {
+  // A crash mid-append leaves a final line without its '\n'.  Cut from
+  // "A 12 1 19" to "A 12 1 1", it still looks like an assignment; only the
+  // missing newline says it is torn.  Every cut must load a prefix of the
+  // recorded assignments with identical arms and seeds.
+  std::string log = ::testing::TempDir() + "guide_torn.arms";
+  std::filesystem::remove(log);
+  GuideOptions live = smallCampaign();
+  live.budget = 24;  // seeds 7..30: two digits, so a cut can shorten one
+  live.decisionLogPath = log;
+  GuideResult g = runGuided(accountSpec(), live);
+  ASSERT_EQ(g.runs(), 24u);
+  const std::string whole = slurp(log);
+  const DecisionLog full = parseDecisionLog(whole, log);
+  ASSERT_EQ(full.assignments.size(), 24u);
+  ASSERT_FALSE(full.tornTail);
+
+  // The header is written atomically: a cut inside it loads as an empty,
+  // torn log.
+  const std::size_t headerEnd = whole.find("\nA ") + 1;
+  for (std::size_t n = 0; n <= whole.size(); ++n) {
+    DecisionLog cut = parseDecisionLog(whole.substr(0, n), log);
+    EXPECT_EQ(cut.tornTail, n < headerEnd || whole[n - 1] != '\n')
+        << "cut " << n;
+    ASSERT_LE(cut.assignments.size(), full.assignments.size());
+    std::size_t i = 0;
+    for (const auto& [idx, as] : cut.assignments) {
+      EXPECT_EQ(idx, i) << "cut " << n;
+      EXPECT_EQ(as, full.assignments.at(i)) << "cut " << n << " run " << i;
+      ++i;
+    }
+  }
+
+  // Replaying the log cut inside run 12's line runs exactly runs 0..11, on
+  // their recorded seeds.
+  const std::size_t line12 = whole.find("\nA 12 ");
+  ASSERT_NE(line12, std::string::npos);
+  const std::size_t cutAt = whole.find('\n', line12 + 1) - 1;
+  std::ofstream(log, std::ios::binary | std::ios::trunc)
+      << whole.substr(0, cutAt);
+  GuideOptions re = smallCampaign();
+  re.budget = 24;
+  re.replayLogPath = log;
+  GuideResult r = runGuided(accountSpec(), re);
+  ASSERT_EQ(r.runs(), 12u);
+  for (std::size_t i = 0; i < r.records.size(); ++i) {
+    EXPECT_EQ(r.records[i].seed, g.records[i].seed) << "run " << i;
+  }
+}
+
+TEST(Guided, JsonlStreamCarriesGlobalRunIndices) {
+  // Batches run as farm campaigns over batch-local indices; the stream
+  // must still name every record by its campaign-global run index.
+  for (farm::WorkerModel model :
+       {farm::WorkerModel::Thread, farm::WorkerModel::Process}) {
+    if (model == farm::WorkerModel::Process &&
+        !farm::detail::processIsolationSupported()) {
+      continue;
+    }
+    const std::string path = ::testing::TempDir() + "guide_global.jsonl";
+    std::filesystem::remove(path);
+    GuideOptions o = smallCampaign();
+    o.budget = 6;
+    o.farm.jobs = 2;
+    o.farm.model = model;
+    o.farm.jsonlPath = path;
+    const experiment::RunSpec base = accountSpec();
+    ASSERT_EQ(runGuided(base, o).runs(), 6u);
+
+    auto number = [](const std::string& line, const std::string& key) {
+      const std::size_t at = line.find("\"" + key + "\":");
+      EXPECT_NE(at, std::string::npos) << line;
+      return std::stoull(line.substr(at + key.size() + 3));
+    };
+    std::ifstream in(path);
+    std::multiset<std::uint64_t> runs;
+    for (std::string line; std::getline(in, line);) {
+      const std::uint64_t run = number(line, "run");
+      runs.insert(run);
+      EXPECT_EQ(number(line, "seed"), base.seedBase + run) << line;
+    }
+    EXPECT_EQ(runs, (std::multiset<std::uint64_t>{0, 1, 2, 3, 4, 5}))
+        << farm::to_string(model);
+  }
 }
 
 TEST(Guided, TargetFingerprintsStopTheCampaign) {

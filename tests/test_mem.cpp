@@ -8,10 +8,11 @@
 //   * record -> exact replay and shrink on weak-memory witnesses;
 //   * MTTSCHED v3: weak schedules round-trip byte-identically, SC-only
 //     schedules still serialize as byte-stable v2, and every byte prefix /
-//     single-byte corruption of a v3 file throws or loads — never UB;
+//     single-byte corruption of a v3 file throws or loads — never UB (the
+//     decoder harness, test_wire.cpp, holds every format to the stricter
+//     contract);
 //   * mmrace warns on unsynchronized observations and stays quiet on the
-//     properly ordered controls;
-//   * the deprecated pre-Decision accessors have no in-tree callers.
+//     properly ordered controls.
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -30,6 +30,7 @@
 
 #include "chaos/campaign.hpp"
 #include "core/table.hpp"
+#include "core/wire.hpp"
 #include "deadlock/lockgraph.hpp"
 #include "experiment/experiment.hpp"
 #include "farm/farm.hpp"
@@ -87,23 +88,25 @@ struct Args {
   std::uint64_t getU64(const std::string& k, std::uint64_t dflt) const {
     auto it = options.find(k);
     if (it == options.end()) return dflt;
-    try {
-      if (!it->second.empty() && it->second[0] == '-') throw std::exception();
-      return std::stoull(it->second);
-    } catch (const std::exception&) {
-      throw std::runtime_error("--" + k + " expects a non-negative integer, got '" +
+    std::uint64_t v = 0;
+    if (!wire::parseU64(it->second, v)) {
+      throw std::runtime_error("--" + k +
+                               " expects a non-negative integer, got '" +
                                it->second + "'");
     }
+    return v;
   }
   double getF(const std::string& k, double dflt) const {
     auto it = options.find(k);
     if (it == options.end()) return dflt;
-    try {
-      return std::stod(it->second);
-    } catch (const std::exception&) {
-      throw std::runtime_error("--" + k + " expects a number, got '" +
-                               it->second + "'");
+    return parseNumber("--" + k, it->second);
+  }
+  static double parseNumber(const std::string& flag, const std::string& s) {
+    double v = 0;
+    if (!wire::parseDouble(s, v)) {
+      throw std::runtime_error(flag + " expects a number, got '" + s + "'");
     }
+    return v;
   }
 };
 
@@ -245,17 +248,11 @@ int usage() {
   return 2;
 }
 
-std::vector<std::string> splitList(const std::string& s) {
+/// The non-empty items of a `sep`-separated list.
+std::vector<std::string> splitList(const std::string& s, char sep = ',') {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    std::size_t comma = s.find(',', start);
-    if (comma == std::string::npos) {
-      if (start < s.size()) out.push_back(s.substr(start));
-      break;
-    }
-    if (comma > start) out.push_back(s.substr(start, comma - start));
-    start = comma + 1;
+  for (std::string_view item : wire::splitFields(s, sep)) {
+    if (!item.empty()) out.emplace_back(item);
   }
   return out;
 }
@@ -548,27 +545,13 @@ guide::GuideOptions guideOptionsFromArgs(const Args& a,
   if (a.has("strengths")) {
     go.strengths.clear();
     for (const std::string& s : splitList(a.get("strengths", ""))) {
-      try {
-        go.strengths.push_back(std::stod(s));
-      } catch (const std::exception&) {
-        throw std::runtime_error("--strengths expects numbers, got '" + s +
-                                 "'");
-      }
+      go.strengths.push_back(Args::parseNumber("--strengths", s));
     }
   }
   if (a.has("policies")) {
     // ';'-separated (not ','): parameterized policy specs like "pct:d=3,k=64"
     // contain commas.  Entries validate inside runGuided (exit 2 on error).
-    go.policies.clear();
-    const std::string list = a.get("policies", "");
-    std::size_t start = 0;
-    while (start <= list.size()) {
-      std::size_t end = list.find(';', start);
-      if (end == std::string::npos) end = list.size();
-      std::string item = list.substr(start, end - start);
-      if (!item.empty()) go.policies.push_back(std::move(item));
-      start = end + 1;
-    }
+    go.policies = splitList(a.get("policies", ""), ';');
     if (go.policies.empty()) {
       throw std::runtime_error(
           "--policies expects a ';'-separated list of schedule policy specs");
@@ -841,9 +824,7 @@ int cmdReplay(const Args& a) {
     aa.options["noise"] = sc.noise;
   }
   if (!a.has("strength")) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", sc.strength);
-    aa.options["strength"] = buf;
+    aa.options["strength"] = wire::formatDouble(sc.strength);
   }
   RunSetup s = makeSetup(aa, &rep);
   p->reset();
