@@ -5,13 +5,6 @@
 
 namespace mtt::evloop {
 
-namespace {
-// The loop whose callback the current thread is executing (nullptr outside
-// callbacks).  Callbacks never nest on one thread — a callback that post()s
-// runs the new task on a *different* tasklet — so one pointer suffices.
-thread_local const EventLoop* tl_inCallback = nullptr;
-}  // namespace
-
 EventLoop::EventLoop(rt::Runtime& rt, std::string name,
                      std::uint32_t schedulers)
     : rt_(&rt),
@@ -95,10 +88,10 @@ void EventLoop::runTask(Task fn, std::uint32_t taskId,
   depth_.fetch_sub(1, std::memory_order_relaxed);
   rt_->evloopPoint(EventKind::QueueTake, id_, s, taskId);
   rt_->evloopPoint(EventKind::TaskBegin, id_, s, taskId);
-  const EventLoop* prev = tl_inCallback;
-  tl_inCallback = this;
-  fn();
-  tl_inCallback = prev;
+  {
+    CallbackScope scope(*this);
+    fn();
+  }
   rt_->evloopPoint(EventKind::TaskEnd, id_, s, taskId);
   executed_.fetch_add(1, std::memory_order_relaxed);
   slots_.release(1, s);
@@ -116,7 +109,24 @@ void EventLoop::drain(Site s) {
   while (live_ > 0) idle_.wait(mu_, s);
 }
 
-bool EventLoop::inCallback() const { return tl_inCallback == this; }
+bool EventLoop::inCallback() const {
+  const ThreadId self = rt_->currentThread();
+  std::lock_guard<std::mutex> lk(tidMu_);
+  return std::find(inCallback_.begin(), inCallback_.end(), self) !=
+         inCallback_.end();
+}
+
+EventLoop::CallbackScope::CallbackScope(EventLoop& loop)
+    : loop_(loop), thread_(loop.rt_->currentThread()) {
+  std::lock_guard<std::mutex> lk(loop_.tidMu_);
+  loop_.inCallback_.push_back(thread_);
+}
+
+EventLoop::CallbackScope::~CallbackScope() {
+  std::lock_guard<std::mutex> lk(loop_.tidMu_);
+  auto& v = loop_.inCallback_;
+  v.erase(std::find(v.begin(), v.end(), thread_));
+}
 
 LoopStats EventLoop::stats() const {
   LoopStats st;

@@ -92,7 +92,7 @@ class EventLoop {
   /// reported via Runtime::fail.
   void drain(Site s = site());
 
-  /// True when the calling thread is inside a callback of this loop.
+  /// True when the calling managed thread is inside a callback of this loop.
   bool inCallback() const;
 
   std::uint32_t schedulers() const { return schedulers_; }
@@ -106,6 +106,17 @@ class EventLoop {
   void spawnTasklet(Task fn, std::uint32_t taskId, std::uint32_t delayTicks,
                     Site s);
 
+  /// Marks the calling managed thread as inside a callback for its scope.
+  class CallbackScope {
+   public:
+    explicit CallbackScope(EventLoop& loop);
+    ~CallbackScope();
+
+   private:
+    EventLoop& loop_;
+    ThreadId thread_;
+  };
+
   rt::Runtime* rt_;
   std::string name_;
   std::uint32_t schedulers_;
@@ -118,8 +129,11 @@ class EventLoop {
 
   // Tasklet bookkeeping.  tidMu_ is a plain mutex: it is never held across a
   // runtime operation, so it cannot invert with the cooperative scheduler.
-  std::mutex tidMu_;
+  // inCallback_ is keyed by managed thread, not OS thread: under
+  // ControlledRuntime every managed thread runs on the caller's OS thread.
+  mutable std::mutex tidMu_;
   std::vector<ThreadId> tids_;
+  std::vector<ThreadId> inCallback_;  ///< threads inside a callback now
 
   std::atomic<std::uint32_t> taskSeq_{0};
   std::atomic<std::int32_t> depth_{0};

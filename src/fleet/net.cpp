@@ -216,9 +216,12 @@ Socket connectTo(const Address& addr, std::chrono::milliseconds timeout,
   ignoreSigpipeOnce();
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   // Deterministic-jitter schedule seeded by the target port (distinct
-  // endpoints de-synchronize; the same endpoint retries reproducibly).
+  // endpoints de-synchronize; the same endpoint retries reproducibly).  The
+  // first retry comes after about 1 ms: a coordinator started alongside its
+  // workers listens within milliseconds, and a short campaign can be over
+  // before a coarser first retry.
   core::Backoff backoff(core::BackoffPolicy{
-      std::chrono::milliseconds(10), std::chrono::milliseconds(250), 2, 0.5,
+      std::chrono::milliseconds(1), std::chrono::milliseconds(250), 2, 0.5,
       static_cast<std::uint64_t>(addr.port) + addr.path.size()});
   std::string lastError;
   for (;;) {

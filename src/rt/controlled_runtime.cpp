@@ -1,8 +1,28 @@
 #include "rt/controlled_runtime.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cassert>
+#include <cstdint>
+#include <cstdlib>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#include <sanitizer/common_interface_defs.h>
+#define MTT_ASAN_FIBERS 1
+#else
+#define MTT_ASAN_FIBERS 0
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#define MTT_TSAN_FIBERS 1
+#else
+#define MTT_TSAN_FIBERS 0
+#endif
 
 #include "core/stats.hpp"
 #include "rt/flight_recorder.hpp"
@@ -10,13 +30,71 @@
 namespace mtt::rt {
 
 namespace {
-// The managed thread currently executing on this OS thread (one runtime's
-// managed threads never share an OS thread with another runtime's).
+// The managed thread currently executing on this OS thread, set on every
+// fiber switch (null on any OS thread that is not running a managed thread,
+// which is how calls from foreign threads are refused).
 thread_local void* tl_current = nullptr;
+
+// --- fiber stacks -------------------------------------------------------------
+// Each stack is ControlledRuntime::kFiberStackSize usable bytes above one
+// PROT_NONE guard page, mapped MAP_NORESERVE and never prefaulted or zeroed,
+// so resident memory is only the pages a thread touched.  Most callers build
+// a runtime per run, so the pool is process-wide: a run takes its stacks
+// here and gives them back when it ends.
+
+class StackPool {
+ public:
+  char* take() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!free_.empty()) {
+        char* s = free_.back();
+        free_.pop_back();
+        return s;
+      }
+    }
+    void* p = ::mmap(nullptr, guard_ + kSize, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                     -1, 0);
+    if (p == MAP_FAILED) {
+      throw std::runtime_error("cannot map a managed-thread stack");
+    }
+    if (::mprotect(p, guard_, PROT_NONE) != 0) {
+      ::munmap(p, guard_ + kSize);
+      throw std::runtime_error("cannot guard a managed-thread stack");
+    }
+    return static_cast<char*>(p) + guard_;
+  }
+
+  /// Takes every stack in `stacks` back (unmapping past the pool's cap).
+  void give(std::vector<char*>& stacks) {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (char* s : stacks) {
+      if (free_.size() < kMaxPooled) {
+        free_.push_back(s);
+      } else {
+        ::munmap(s - guard_, guard_ + kSize);
+      }
+    }
+    stacks.clear();
+  }
+
+ private:
+  static constexpr std::size_t kSize = ControlledRuntime::kFiberStackSize;
+  static constexpr std::size_t kMaxPooled = 64;
+  const std::size_t guard_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::mutex mu_;
+  std::vector<char*> free_;
+};
+
+StackPool& stackPool() {
+  static StackPool* pool = new StackPool;  // outlives every runtime
+  return *pool;
+}
 
 // --- vector-clock helpers (weak-memory model) ------------------------------
 // Clocks are indexed by ThreadId (slot 0, kNoThread, stays unused); all
-// access happens under the scheduler lock.
+// access happens on the carrier, for the thread holding the turn.
 
 std::uint64_t vcAt(const std::vector<std::uint64_t>& vc, ThreadId t) {
   return t < vc.size() ? vc[t] : 0;
@@ -56,11 +134,6 @@ ControlledRuntime::ControlledRuntime(std::unique_ptr<SchedulePolicy> policy)
     : policy_(policy ? std::move(policy)
                      : std::make_unique<RandomPolicy>()) {}
 
-ControlledRuntime::~ControlledRuntime() {
-  // run() joins all OS threads before returning; nothing outstanding here.
-  assert(osThreads_.empty());
-}
-
 void ControlledRuntime::setPolicy(std::unique_ptr<SchedulePolicy> p) {
   if (p) policy_ = std::move(p);
 }
@@ -79,7 +152,6 @@ ThreadId ControlledRuntime::currentThread() const {
 }
 
 std::string ControlledRuntime::threadName(ThreadId t) const {
-  std::lock_guard<std::mutex> lk(mu_);
   if (t == kNoThread || t > tcbs_.size()) return "T?";
   return tcbs_[t - 1]->name;
 }
@@ -203,15 +275,12 @@ PendingOpInfo ControlledRuntime::opInfoOf(const Tcb& t) const {
   return info;
 }
 
-void ControlledRuntime::scheduleNextLocked() {
+ControlledRuntime::Tcb* ControlledRuntime::scheduleNextLocked() {
   for (;;) {
-    std::vector<ThreadId> enabled;
-    enabled.reserve(tcbs_.size());
+    enabled_.clear();
     bool anySleeper = false;
     std::uint64_t minWake = ~std::uint64_t{0};
-    bool allFinished = true;
-    for (const auto& t : tcbs_) {
-      if (t->st != St::Finished) allFinished = false;
+    for (Tcb* t : live_) {
       if (t->st != St::Parked) continue;
       if (t->pending.code == OpCode::Sleep && steps_ < t->pending.wakeStep) {
         anySleeper = true;
@@ -219,7 +288,7 @@ void ControlledRuntime::scheduleNextLocked() {
         continue;
       }
       if (enabledLocked(*t)) {
-        enabled.push_back(t->id);
+        enabled_.push_back(t->id);
       } else if (t->pending.code == OpCode::Lock ||
                  t->pending.code == OpCode::SemAcquire ||
                  t->pending.code == OpCode::RwRead ||
@@ -229,10 +298,10 @@ void ControlledRuntime::scheduleNextLocked() {
         t->pending.everBlocked = true;
       }
     }
-    if (!enabled.empty()) {
+    if (!enabled_.empty()) {
       if (steps_ >= maxSteps_) {
         beginAbortLocked(RunStatus::StepLimit);
-        return;
+        return unwindTargetLocked();
       }
       bool yielding = false;
       if (lastRunning_ != kNoThread) {
@@ -241,18 +310,18 @@ void ControlledRuntime::scheduleNextLocked() {
                    (prev.pending.code == OpCode::Yield ||
                     prev.pending.code == OpCode::Sleep);
       }
-      std::vector<PendingOpInfo> ops;
-      ops.reserve(enabled.size());
-      for (ThreadId t : enabled) ops.push_back(opInfoOf(tcbOf(t)));
+      ops_.clear();
+      for (ThreadId t : enabled_) ops_.push_back(opInfoOf(tcbOf(t)));
       PickContext ctx;
-      ctx.enabled = std::span<const ThreadId>(enabled);
-      ctx.ops = std::span<const PendingOpInfo>(ops);
+      ctx.enabled = std::span<const ThreadId>(enabled_);
+      ctx.ops = std::span<const PendingOpInfo>(ops_);
       ctx.current = lastRunning_;
       ctx.currentYielding = yielding;
       ctx.step = steps_;
       ThreadId choice = policy_->pick(ctx);
-      if (std::find(enabled.begin(), enabled.end(), choice) == enabled.end()) {
-        choice = enabled.front();  // defensive: policies must pick enabled
+      if (std::find(enabled_.begin(), enabled_.end(), choice) ==
+          enabled_.end()) {
+        choice = enabled_.front();  // defensive: policies must pick enabled
       }
       ++steps_;
       // Mirror the committed (post-correction) decision into the flight
@@ -261,9 +330,7 @@ void ControlledRuntime::scheduleNextLocked() {
       fr::recordDecision(this, choice);
       Tcb& c = tcbOf(choice);
       decisionNoise_.push_back(c.pending.injected);
-      c.go = true;
-      c.cv.notify_one();
-      return;
+      return &c;
     }
     if (anySleeper) {
       // Every runnable thread is asleep: advance virtual time.  This is how
@@ -271,25 +338,16 @@ void ControlledRuntime::scheduleNextLocked() {
       steps_ = minWake;
       continue;
     }
-    if (allFinished) {
-      doneCv_.notify_all();
-      return;
-    }
+    if (live_.empty()) return nullptr;
     beginAbortLocked(RunStatus::Deadlock);
-    return;
+    return unwindTargetLocked();
   }
 }
 
-bool ControlledRuntime::waitForTurnLocked(std::unique_lock<std::mutex>& lk,
-                                          Tcb& self) {
-  // During an abort, ignore scheduling and wait for this thread's unwind
-  // turn instead (see advanceUnwindLocked).
-  self.cv.wait(lk, [&] { return abort_ ? unwindTurn_ == self.id : self.go; });
-  if (abort_) {
-    self.go = false;
-    return false;
-  }
-  self.go = false;
+bool ControlledRuntime::park(Tcb& self) {
+  switchTo(&self, scheduleNextLocked());
+  // Resumed: either scheduled, or (during an abort) it is our unwind turn.
+  if (abort_) return false;
   self.st = St::Running;
   lastRunning_ = self.id;
   return true;
@@ -344,8 +402,7 @@ std::string ControlledRuntime::describeWait(const Tcb& t) const {
 
 void ControlledRuntime::collectBlockedLocked() {
   blocked_.clear();
-  for (const auto& t : tcbs_) {
-    if (t->st == St::Finished) continue;
+  for (const Tcb* t : live_) {
     BlockedThreadInfo info;
     info.thread = t->id;
     info.threadName = t->name;
@@ -359,12 +416,18 @@ void ControlledRuntime::collectBlockedLocked() {
   }
 }
 
-void ControlledRuntime::advanceUnwindLocked() {
-  unwindTurn_ = kNoThread;
-  for (const auto& t : tcbs_) {
-    if (t->st != St::Finished) unwindTurn_ = t->id;  // ids ascend: keeps max
+ControlledRuntime::Tcb* ControlledRuntime::unwindTargetLocked() {
+  while (!live_.empty()) {
+    Tcb* t = live_.back();
+    if (t->stack != nullptr) return t;
+    t->st = St::Finished;  // never ran: nothing to unwind
+    live_.pop_back();
   }
-  if (unwindTurn_ != kNoThread) tcbOf(unwindTurn_).cv.notify_all();
+  return nullptr;
+}
+
+void ControlledRuntime::awaitUnwindTurn(Tcb& self) {
+  switchTo(&self, unwindTargetLocked());
 }
 
 void ControlledRuntime::beginAbortLocked(RunStatus status) {
@@ -372,29 +435,24 @@ void ControlledRuntime::beginAbortLocked(RunStatus status) {
   abort_ = true;
   status_ = status;
   if (status == RunStatus::Deadlock) collectBlockedLocked();
-  advanceUnwindLocked();
-  for (const auto& t : tcbs_) t->cv.notify_all();
-  doneCv_.notify_all();
 }
 
-void ControlledRuntime::failLocked(std::unique_lock<std::mutex>& lk,
-                                   std::string msg) {
+void ControlledRuntime::failLocked(std::string msg) {
   if (!abort_) {
     failureMessage_ = std::move(msg);
     beginAbortLocked(RunStatus::AssertFailed);
   }
   // Wait for our unwind turn: every thread we spawned (higher id) must
   // finish unwinding before our stack objects die.
-  Tcb* self = currentTcb();
-  if (self != nullptr && self->st != St::Finished) {
-    self->cv.wait(lk, [&] { return unwindTurn_ == self->id; });
-  }
+  awaitUnwindTurn(*currentTcb());
   throw RunAborted{};
 }
 
 void ControlledRuntime::fail(std::string msg) {
-  std::unique_lock<std::mutex> lk(mu_);
-  failLocked(lk, std::move(msg));
+  if (currentTcb() == nullptr) {
+    throw std::logic_error("mtt: fail called outside a managed thread");
+  }
+  failLocked(std::move(msg));
 }
 
 ControlledRuntime::AtomicLoc& ControlledRuntime::locOf(AtomicState& a) {
@@ -594,8 +652,7 @@ void ControlledRuntime::performFenceLocked(Tcb& self, PendingOp& op) {
                        kNoThread));
 }
 
-bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
-                                        Tcb& self) {
+bool ControlledRuntime::performOpLocked(Tcb& self) {
   PendingOp& op = self.pending;
   switch (op.code) {
     case OpCode::Start:
@@ -616,9 +673,8 @@ bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
       // clock and per-location coherence floors.
       child->vc = self.vc;
       child->readFloor = self.readFloor;
-      Tcb* raw = child.get();
+      live_.push_back(child.get());
       tcbs_.push_back(std::move(child));
-      osThreads_.emplace_back([this, raw] { trampoline(raw); });
       emit(EventKind::ThreadSpawn, self.id, cid, op.site);
       op.target = cid;  // result read by spawnThread
       return true;
@@ -678,8 +734,8 @@ bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
 
     case OpCode::CondWait: {
       if (op.m->owner != self.id) {
-        failLocked(lk, "condition wait on " + objectInfo(op.c->id).name +
-                           " without holding its mutex");
+        failLocked("condition wait on " + objectInfo(op.c->id).name +
+                   " without holding its mutex");
       }
       // arg carries the mutex id: happens-before analyses need the implicit
       // release/reacquire edges of the wait.
@@ -702,8 +758,7 @@ bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
       self.pending.site = st;
       self.st = St::WaitCond;
       c->waiters.push_back(self.id);
-      scheduleNextLocked();
-      if (!waitForTurnLocked(lk, self)) return false;
+      if (!park(self)) return false;
       // Scheduled again: the reacquire is enabled, perform it.
       m->owner = self.id;
       m->depth = savedDepth;
@@ -816,7 +871,7 @@ bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
         ++b->generation;
         b->arrived = 0;
         // Release every thread parked on this generation (including self).
-        for (const auto& t : tcbs_) {
+        for (Tcb* t : live_) {
           if (t->st == St::WaitBarrier && t->pending.b == b) {
             t->st = St::Parked;
           }
@@ -825,8 +880,7 @@ bool ControlledRuntime::performOpLocked(std::unique_lock<std::mutex>& lk,
       } else {
         self.st = St::WaitBarrier;
       }
-      scheduleNextLocked();
-      if (!waitForTurnLocked(lk, self)) return false;
+      if (!park(self)) return false;
       vcJoin(self.vc, b->clock);  // exit syncs with every arriver
       emit(EventKind::BarrierExit, self.id, b->id, st,
            static_cast<std::uint32_t>(b->generation));
@@ -907,74 +961,135 @@ void ControlledRuntime::visibleOp(PendingOp op, bool mayThrow,
       visibleOp(sl, mayThrow, /*applyNoise=*/false);
     }
   }
-  std::unique_lock<std::mutex> lk(mu_);
   if (abort_) {
-    if (mayThrow) throw RunAborted{};
-    return;
+    if (!mayThrow) return;
+    awaitUnwindTurn(self);
+    throw RunAborted{};
   }
   if (op.code == OpCode::Sleep) {
     op.wakeStep = steps_ + std::max<std::uint32_t>(op.arg, 1);
   }
   self.pending = op;
   self.st = St::Parked;
-  scheduleNextLocked();
-  if (!waitForTurnLocked(lk, self)) {
+  if (!park(self) || !performOpLocked(self)) {
     if (mayThrow) throw RunAborted{};
-    return;
-  }
-  if (!performOpLocked(lk, self)) {
-    if (mayThrow) throw RunAborted{};
-    return;
   }
 }
 
-void ControlledRuntime::trampoline(Tcb* self) {
-  tl_current = self;
-  bool started = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!abort_ && waitForTurnLocked(lk, *self)) {
-      emit(EventKind::ThreadStart, self->id, self->id, Site{});
-      started = true;
+void ControlledRuntime::startFiber(Tcb& t) {
+  if (spare_.empty()) {
+    t.stack = stackPool().take();
+  } else {
+    t.stack = spare_.back();
+    spare_.pop_back();
+  }
+  ::getcontext(&t.ctx);
+  t.ctx.uc_stack.ss_sp = t.stack;
+  t.ctx.uc_stack.ss_size = kFiberStackSize;
+  t.ctx.uc_link = nullptr;  // trampoline never returns
+  const auto self =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
+  ::makecontext(&t.ctx, reinterpret_cast<void (*)()>(&fiberEntry), 2,
+                static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+#if MTT_ASAN_FIBERS
+  // A reused stack may still carry the redzones of frames that never
+  // returned (a finished thread's last frames).
+  __asan_unpoison_memory_region(t.stack, kFiberStackSize);
+#endif
+#if MTT_TSAN_FIBERS
+  t.tsanFiber = __tsan_create_fiber(0);
+#endif
+}
+
+void ControlledRuntime::switchTo(Tcb* from, Tcb* to) {
+  if (from == to) return;
+  if (to != nullptr && to->stack == nullptr) startFiber(*to);
+  const bool leaving = from != nullptr && from->st == St::Finished;
+  // Reused only by a later startFiber, which runs after this switch on
+  // another stack.
+  if (leaving) spare_.push_back(std::exchange(from->stack, nullptr));
+  tl_current = to;
+#if MTT_ASAN_FIBERS
+  void* fakeStack = nullptr;
+  __sanitizer_start_switch_fiber(leaving ? nullptr : &fakeStack,
+                                 to ? to->stack : callerStackBottom_,
+                                 to ? kFiberStackSize : callerStackSize_);
+#endif
+#if MTT_TSAN_FIBERS
+  __tsan_switch_to_fiber(to ? to->tsanFiber : callerTsanFiber_, 0);
+#endif
+  ucontext_t* const save = from ? &from->ctx : &callerCtx_;
+  ucontext_t* const load = to ? &to->ctx : &callerCtx_;
+#if MTT_ASAN_FIBERS
+  // ASan intercepts swapcontext only to print a warning on stderr (which
+  // would leak into CLI output); the annotations above are what it needs.
+  volatile bool resumed = false;
+  ::getcontext(save);
+  if (!resumed) {
+    resumed = true;
+    ::setcontext(load);
+  }
+  __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#else
+  ::swapcontext(save, load);
+#endif
+}
+
+void ControlledRuntime::fiberEntry(unsigned hi, unsigned lo) {
+  auto* rt = reinterpret_cast<ControlledRuntime*>(static_cast<std::uintptr_t>(
+      (static_cast<std::uint64_t>(hi) << 32) | lo));
+  rt->trampoline(*rt->currentTcb());
+}
+
+void ControlledRuntime::trampoline(Tcb& self) {
+#if MTT_ASAN_FIBERS
+  const void* fromBottom = nullptr;
+  std::size_t fromSize = 0;
+  __sanitizer_finish_switch_fiber(nullptr, &fromBottom, &fromSize);
+  if (self.id == kMainThread) {  // main is always entered from run()
+    callerStackBottom_ = fromBottom;
+    callerStackSize_ = fromSize;
+  }
+#endif
+  // First switched to when the policy schedules its Start: an abort marks
+  // threads that never started finished instead of entering them.
+  self.st = St::Running;
+  lastRunning_ = self.id;
+  emit(EventKind::ThreadStart, self.id, self.id, Site{});
+  try {
+    self.body();
+  } catch (const RunAborted&) {
+    // Expected unwind path during aborts.
+  } catch (const std::exception& e) {
+    // Only record the failure here.  Exception state is per OS thread, so
+    // the abort's switch to another fiber waits until this handler is left
+    // (threadFinish).
+    if (!abort_) {
+      failureMessage_ =
+          "uncaught exception in " + self.name + ": " + e.what();
+      beginAbortLocked(RunStatus::AssertFailed);
+    }
+  } catch (...) {
+    // Nothing may escape a context entry function.
+    if (!abort_) {
+      failureMessage_ = "uncaught exception in " + self.name;
+      beginAbortLocked(RunStatus::AssertFailed);
     }
   }
-  if (started) {
-    try {
-      self->body();
-    } catch (const RunAborted&) {
-      // Expected unwind path during aborts.
-    } catch (const std::exception& e) {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (!abort_) {
-        failureMessage_ =
-            "uncaught exception in " + self->name + ": " + e.what();
-        beginAbortLocked(RunStatus::AssertFailed);
-      }
-    }
-  }
-  threadFinish(*self);
-  tl_current = nullptr;
+  threadFinish(self);
 }
 
 void ControlledRuntime::threadFinish(Tcb& self) {
-  std::unique_lock<std::mutex> lk(mu_);
   if (!abort_) {
     self.pending = PendingOp{};
     self.pending.code = OpCode::Finish;
     self.st = St::Parked;
-    scheduleNextLocked();
-    if (waitForTurnLocked(lk, self)) {
-      emit(EventKind::ThreadFinish, self.id, self.id, Site{});
-    }
+    if (park(self)) emit(EventKind::ThreadFinish, self.id, self.id, Site{});
   }
   self.st = St::Finished;
-  ++finishedCount_;
-  if (!abort_) {
-    scheduleNextLocked();
-  } else {
-    advanceUnwindLocked();
-  }
-  doneCv_.notify_all();
+  live_.erase(std::find(live_.begin(), live_.end(), &self));
+  switchTo(&self, abort_ ? unwindTargetLocked() : scheduleNextLocked());
+  std::abort();  // a finished thread is never resumed
 }
 
 RunResult ControlledRuntime::run(std::function<void(Runtime&)> body,
@@ -983,23 +1098,19 @@ RunResult ControlledRuntime::run(std::function<void(Runtime&)> body,
     throw std::logic_error("mtt: ControlledRuntime::run is not reentrant");
   }
   runActive_ = true;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    tcbs_.clear();
-    finishedCount_ = 0;
-    lastRunning_ = kNoThread;
-    abort_ = false;
-    status_ = RunStatus::Completed;
-    failureMessage_.clear();
-    steps_ = 0;
-    maxSteps_ = opts.maxSteps == 0 ? ~std::uint64_t{0} : opts.maxSteps;
-    blocked_.clear();
-    decisionNoise_.clear();
-    atomics_.clear();
-    scClock_.clear();
-    forceSeqCst_ = opts.forceSeqCst;
-    resetEventCount();
-  }
+  tcbs_.clear();
+  lastRunning_ = kNoThread;
+  abort_ = false;
+  status_ = RunStatus::Completed;
+  failureMessage_.clear();
+  steps_ = 0;
+  maxSteps_ = opts.maxSteps == 0 ? ~std::uint64_t{0} : opts.maxSteps;
+  blocked_.clear();
+  decisionNoise_.clear();
+  atomics_.clear();
+  scClock_.clear();
+  forceSeqCst_ = opts.forceSeqCst;
+  resetEventCount();
   policy_->onRunStart(opts.seed);
   // Bind the (process-global) flight recorder to this runtime for the
   // duration of the run; a no-op unless fr::arm was called.
@@ -1012,34 +1123,36 @@ RunResult ControlledRuntime::run(std::function<void(Runtime&)> body,
   hooks_.dispatchRunStart(info);
 
   Stopwatch sw;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    auto main = std::make_unique<Tcb>();
-    main->id = kMainThread;
-    main->name = "main";
-    main->st = St::Parked;
-    main->pending = PendingOp{};
-    main->pending.code = OpCode::Start;
-    main->body = [this, b = std::move(body)] { b(*this); };
-    Tcb* raw = main.get();
-    tcbs_.push_back(std::move(main));
-    osThreads_.emplace_back([this, raw] { trampoline(raw); });
-    scheduleNextLocked();
-    doneCv_.wait(lk, [&] {
-      return !tcbs_.empty() && finishedCount_ == tcbs_.size();
-    });
+  auto main = std::make_unique<Tcb>();
+  main->id = kMainThread;
+  main->name = "main";
+  main->st = St::Parked;
+  main->pending = PendingOp{};
+  main->pending.code = OpCode::Start;
+  main->body = [this, b = std::move(body)] { b(*this); };
+  live_.assign(1, main.get());
+  tcbs_.push_back(std::move(main));
+  // Run the managed threads on this OS thread; the last one to finish
+  // switches back here.
+  void* const outer = tl_current;  // non-null when run() is itself managed
+#if MTT_TSAN_FIBERS
+  callerTsanFiber_ = __tsan_get_current_fiber();
+#endif
+  switchTo(nullptr, scheduleNextLocked());
+  tl_current = outer;
+  stackPool().give(spare_);
+#if MTT_TSAN_FIBERS
+  for (const auto& t : tcbs_) {
+    if (t->tsanFiber != nullptr) __tsan_destroy_fiber(t->tsanFiber);
+    t->tsanFiber = nullptr;
   }
-  for (auto& t : osThreads_) t.join();
-  osThreads_.clear();
+#endif
 
   RunResult result;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    result.status = status_;
-    result.failureMessage = failureMessage_;
-    result.steps = steps_;
-    result.blocked = blocked_;
-  }
+  result.status = status_;
+  result.failureMessage = failureMessage_;
+  result.steps = steps_;
+  result.blocked = blocked_;
   result.events = eventCount();
   result.wallSeconds = sw.elapsedSeconds();
   hooks_.dispatchRunEnd();

@@ -14,10 +14,25 @@
 //    each blocked thread and what it waits on.
 //  * Livelock guard: runs abort after RunOptions::maxSteps decisions.
 //
-// Hooks are dispatched with the scheduler lock held (events are therefore
-// totally ordered and listeners need no internal locking in this mode);
-// listeners must not call runtime operations from onEvent — noise makers use
-// Runtime::postNoise, which is applied before the thread's next operation.
+// Carrier: every managed thread is a user-space context (ucontext) on a
+// pooled, guard-paged stack, and all of them run on the OS thread that
+// called run().  A parking thread asks the scheduler for the next thread and
+// switches straight to it; the last thread to finish switches back to run().
+// No OS thread is created and no lock or condition variable is touched on
+// the turn path.  Consequences for code running in managed threads:
+//  * std::this_thread::get_id() and thread_local storage are the caller's;
+//    per-managed-thread state must be keyed by currentThread().
+//  * Each managed thread has kFiberStackSize bytes of stack; touching the
+//    guard page below it is a SIGSEGV.
+//  * C++ exception state is per OS thread, so a managed thread must not
+//    make runtime calls from inside a catch handler.
+// Runtime calls from any other OS thread throw std::logic_error.
+//
+// Hooks are dispatched on the carrier, in decision order (events are
+// therefore totally ordered and listeners need no internal locking in this
+// mode); listeners must not call runtime operations from onEvent — noise
+// makers use Runtime::postNoise, which is applied before the thread's next
+// operation.
 // Weak-memory extension (Decision API v3): mtt::mem::Atomic operations are
 // visible ops like any other, but an atomic *load* additionally computes its
 // observable-store set — the per-location store history filtered by a
@@ -39,8 +54,10 @@
 //    no choice point = byte-identical SC schedules).
 #pragma once
 
+#include <ucontext.h>
+
+#include <cstddef>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 
 #include "rt/policy.hpp"
@@ -50,9 +67,11 @@ namespace mtt::rt {
 
 class ControlledRuntime final : public Runtime {
  public:
+  /// Usable stack of every managed thread (above one PROT_NONE guard page).
+  static constexpr std::size_t kFiberStackSize = 256 * 1024;
+
   /// Uses RandomPolicy if none is given.
   explicit ControlledRuntime(std::unique_ptr<SchedulePolicy> policy = nullptr);
-  ~ControlledRuntime() override;
 
   RuntimeMode mode() const override { return RuntimeMode::Controlled; }
 
@@ -172,17 +191,20 @@ class ControlledRuntime final : public Runtime {
     std::string name;
     St st = St::Parked;
     PendingOp pending{};
-    bool go = false;
     bool tryResult = false;  ///< out-param of TryLock / SemTryAcquire / CAS
     std::uint64_t atomicResult = 0;  ///< out-param of AtomicLoad / AtomicRmw
     NoiseRequest noise{};    ///< posted by listeners, applied at next op
-    std::condition_variable cv;
     std::function<void()> body;
+    // Carrier: the saved context and its stack, taken from the pool when
+    // the thread is first switched to (null before that and once finished).
+    ucontext_t ctx;
+    char* stack = nullptr;
+    void* tsanFiber = nullptr;  ///< ThreadSanitizer builds only
     // Staging area for a pending Spawn op (per-thread, so concurrent
     // spawners don't clobber each other).
     std::string spawnName;
     std::function<void()> spawnFn;
-    // Weak-memory bookkeeping (scheduler lock protects).
+    // Weak-memory bookkeeping.
     std::vector<std::uint64_t> vc;  ///< vector clock, indexed by ThreadId
     /// Deferred acquire clock: release clocks observed by relaxed loads,
     /// claimed by this thread's next acquire (or stronger) fence.
@@ -218,29 +240,35 @@ class ControlledRuntime final : public Runtime {
   // destructors (unlock): on abort they return without effect.
   void visibleOp(PendingOp op, bool mayThrow = true, bool applyNoise = true);
 
-  // All *Locked functions require mu_ held.
+  // The *Locked functions read and write scheduler state.  They run only on
+  // the carrier, for the thread that holds the turn (or for run() itself).
   Tcb& tcbOf(ThreadId id) const;
   Tcb* currentTcb() const;
   bool enabledLocked(const Tcb& t) const;
   // Policy-facing descriptor of a parked thread's pending operation.
   PendingOpInfo opInfoOf(const Tcb& t) const;
-  // Picks and wakes the next thread (or fast-forwards virtual time, or
-  // detects completion / deadlock / step-limit).
-  void scheduleNextLocked();
-  // Waits until this thread is scheduled.  Returns false if the run aborted.
-  bool waitForTurnLocked(std::unique_lock<std::mutex>& lk, Tcb& self);
+  // Picks the thread that runs next (fast-forwarding virtual time past
+  // sleepers).  Returns nullptr when every thread has finished; on deadlock
+  // or step limit it begins the abort and returns the first to unwind.
+  Tcb* scheduleNextLocked();
+  // Hands the turn to the next thread and returns when this thread is
+  // scheduled again.  Returns false if the run aborted meanwhile.
+  bool park(Tcb& self);
   // Executes self.pending; emits events; may internally block (cond/barrier)
   // and re-schedule.  Returns false if the run aborted mid-operation.
-  bool performOpLocked(std::unique_lock<std::mutex>& lk, Tcb& self);
+  bool performOpLocked(Tcb& self);
   void beginAbortLocked(RunStatus status);
   // Abort teardown is serialized: threads unwind one at a time in reverse
   // thread-id order (children before their spawners, since ids are assigned
   // in spawn order), so a thread never destroys stack objects that a
-  // still-unwinding thread it spawned references.  advanceUnwindLocked moves
-  // the turn to the highest-id unfinished thread.
-  void advanceUnwindLocked();
+  // still-unwinding thread it spawned references.  unwindTargetLocked
+  // returns the highest-id unfinished thread, marking threads that never
+  // started finished on the way (they have nothing to unwind).
+  Tcb* unwindTargetLocked();
+  // Switches to the thread whose turn it is to unwind, if that is not self.
+  void awaitUnwindTurn(Tcb& self);
   void collectBlockedLocked();
-  // Weak-memory helpers (mu_ held).  locOf lazily seeds the history with
+  // Weak-memory helpers.  locOf lazily seeds the history with
   // the initial-value pseudo-store; effectiveOrder applies forceSeqCst and
   // maps consume to acquire.
   AtomicLoc& locOf(AtomicState& a);
@@ -252,21 +280,34 @@ class ControlledRuntime final : public Runtime {
   void performFenceLocked(Tcb& self, PendingOp& op);
   std::string describeWait(const Tcb& t) const;
   void releaseMutexFullyLocked(MutexState& m);
-  void trampoline(Tcb* self);
-  void threadFinish(Tcb& self);
-  [[noreturn]] void failLocked(std::unique_lock<std::mutex>& lk,
-                               std::string msg);
+  // Carrier.  switchTo saves the running context (`from`, or run()'s caller
+  // when null) and resumes `to` (the caller when null), starting `to` on a
+  // pooled stack if it never ran.  A finished `from` leaves for good: its
+  // stack goes to spare_ for the next thread this runtime starts.
+  void switchTo(Tcb* from, Tcb* to);
+  void startFiber(Tcb& t);
+  static void fiberEntry(unsigned hi, unsigned lo);
+  [[noreturn]] void trampoline(Tcb& self);
+  [[noreturn]] void threadFinish(Tcb& self);
+  [[noreturn]] void failLocked(std::string msg);
 
   std::unique_ptr<SchedulePolicy> policy_;
 
-  mutable std::mutex mu_;
-  std::condition_variable doneCv_;
   std::vector<std::unique_ptr<Tcb>> tcbs_;   // index = id - 1
-  std::vector<std::thread> osThreads_;
-  std::size_t finishedCount_ = 0;
+  /// The unfinished threads in id order: what a decision scans, so its cost
+  /// does not grow with the threads a run has already finished.
+  std::vector<Tcb*> live_;
+  ucontext_t callerCtx_;      ///< run()'s caller while a run is on
+  std::vector<char*> spare_;  ///< stacks of finished threads, this run
+  // Sanitizer bookkeeping of the caller's stack (ASan / TSan builds only).
+  const void* callerStackBottom_ = nullptr;
+  std::size_t callerStackSize_ = 0;
+  void* callerTsanFiber_ = nullptr;
+  // Per-decision scratch of scheduleNextLocked, kept for its capacity.
+  std::vector<ThreadId> enabled_;
+  std::vector<PendingOpInfo> ops_;
   ThreadId lastRunning_ = kNoThread;
   bool abort_ = false;
-  ThreadId unwindTurn_ = kNoThread;  ///< whose turn to unwind during abort
   RunStatus status_ = RunStatus::Completed;
   std::string failureMessage_;
   std::uint64_t steps_ = 0;
@@ -274,7 +315,7 @@ class ControlledRuntime final : public Runtime {
   std::vector<BlockedThreadInfo> blocked_;
   std::vector<bool> decisionNoise_;
   bool runActive_ = false;
-  // Weak-memory state (scheduler lock protects; reset per run).
+  // Weak-memory state (reset per run).
   std::unordered_map<ObjectId, AtomicLoc> atomics_;
   std::vector<std::uint64_t> scClock_;  ///< global seq_cst order clock
   bool forceSeqCst_ = false;

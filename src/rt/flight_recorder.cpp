@@ -307,16 +307,27 @@ void drainHandler(int signo) {
 
 void installCrashHandlers() {
 #if MTT_FR_POSIX
+  // The handlers run on an alternate signal stack: a managed thread's stack
+  // is a small fiber stack, and a fault that overflowed it into its guard
+  // page leaves no room there to dump.  Static storage keeps the handler
+  // path allocation-free; it serves the calling thread, the one that runs
+  // controlled runs in a forked worker.
+  static char altStack[64 * 1024];
+  stack_t ss;
+  std::memset(&ss, 0, sizeof ss);
+  ss.ss_sp = altStack;
+  ss.ss_size = sizeof altStack;
+  ::sigaltstack(&ss, nullptr);
   struct sigaction sa;
   std::memset(&sa, 0, sizeof sa);
   sigemptyset(&sa.sa_mask);
   sa.sa_handler = fatalHandler;
-  sa.sa_flags = SA_RESETHAND;
+  sa.sa_flags = SA_RESETHAND | SA_ONSTACK;
   for (int signo : {SIGSEGV, SIGBUS, SIGFPE, SIGABRT}) {
     ::sigaction(signo, &sa, nullptr);
   }
   sa.sa_handler = drainHandler;
-  sa.sa_flags = 0;
+  sa.sa_flags = SA_ONSTACK;
   ::sigaction(SIGTERM, &sa, nullptr);
 #endif
 }

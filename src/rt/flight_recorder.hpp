@@ -56,8 +56,10 @@ void disarm();
 /// recording and re-raise (the process still dies with the original
 /// signal, so the farm parent observes the crash), plus a SIGTERM drain
 /// handler that dumps and _exit(126)s — the parent watchdog sends SIGTERM
-/// before SIGKILL to collect a witness from a hung run.  POSIX only; a
-/// no-op elsewhere.
+/// before SIGKILL to collect a witness from a hung run.  The handlers run
+/// on an alternate signal stack installed for the calling thread, so a
+/// managed thread that overflows its fiber stack into the guard page still
+/// dumps.  POSIX only; a no-op elsewhere.
 void installCrashHandlers();
 
 /// Marks a run in progress and preformats its scenario header.  Resets the

@@ -17,10 +17,12 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/atomic_file.hpp"
 #include "core/wire.hpp"
@@ -66,21 +68,77 @@ std::size_t Trace::countKind(EventKind k) const {
 
 namespace {
 
-rt::ObjectKind kindFromName(const std::string& s) {
-  if (s == "mutex") return rt::ObjectKind::Mutex;
-  if (s == "rwlock") return rt::ObjectKind::RwLock;
-  if (s == "condvar") return rt::ObjectKind::CondVar;
-  if (s == "semaphore") return rt::ObjectKind::Semaphore;
-  if (s == "barrier") return rt::ObjectKind::Barrier;
-  if (s == "thread") return rt::ObjectKind::Thread;
-  if (s == "taskqueue") return rt::ObjectKind::TaskQueue;
-  if (s == "atomic") return rt::ObjectKind::Atomic;
-  return rt::ObjectKind::Variable;
-}
+constexpr char kTextFormat[] = "text trace";
 
 [[noreturn]] void parseError(const std::string& what, std::size_t lineNo) {
-  throw std::runtime_error("mtt trace parse error at line " +
+  throw std::runtime_error(std::string(kTextFormat) + ": line " +
                            std::to_string(lineNo) + ": " + what);
+}
+
+/// One line of the text format: single-space-separated fields, the last of
+/// which may be a rest-of-line name (names may hold spaces and tabs).
+class LineFields {
+ public:
+  LineFields(std::string_view line, std::size_t lineNo)
+      : rest_(line), lineNo_(lineNo) {}
+
+  /// The next field; an error when the line has none left.
+  std::string_view field(const char* what) {
+    if (done_) parseError(std::string("missing ") + what, lineNo_);
+    const std::size_t sp = rest_.find(' ');
+    std::string_view f = rest_.substr(0, sp);
+    if (sp == std::string_view::npos) {
+      rest_ = {};
+      done_ = true;
+    } else {
+      rest_.remove_prefix(sp + 1);
+    }
+    return f;
+  }
+  std::uint64_t u64(const char* what) {
+    std::uint64_t v = 0;
+    if (!wire::parseU64(field(what), v)) bad(what);
+    return v;
+  }
+  std::uint32_t u32(const char* what) {
+    std::uint32_t v = 0;
+    if (!wire::parseU32(field(what), v)) bad(what);
+    return v;
+  }
+  bool flag(const char* what) {
+    bool v = false;
+    if (!wire::parseBool(field(what), v)) bad(what);
+    return v;
+  }
+  /// The rest of the line as one name ("" when the line ended).
+  std::string rest() {
+    done_ = true;
+    return std::string(std::exchange(rest_, {}));
+  }
+  /// The line must hold nothing more.
+  void end() {
+    if (!done_) parseError("trailing fields", lineNo_);
+  }
+
+ private:
+  [[noreturn]] void bad(const char* what) {
+    parseError(std::string("malformed ") + what, lineNo_);
+  }
+
+  std::string_view rest_;
+  std::size_t lineNo_;
+  bool done_ = false;
+};
+
+rt::ObjectKind objectKindFromName(std::string_view s, std::size_t lineNo) {
+  for (rt::ObjectKind k :
+       {rt::ObjectKind::Mutex, rt::ObjectKind::RwLock, rt::ObjectKind::CondVar,
+        rt::ObjectKind::Semaphore, rt::ObjectKind::Barrier,
+        rt::ObjectKind::Variable, rt::ObjectKind::Thread,
+        rt::ObjectKind::TaskQueue, rt::ObjectKind::Atomic}) {
+    if (rt::to_string(k) == s) return k;
+  }
+  parseError("unknown object kind '" + std::string(s) + "'", lineNo);
 }
 
 }  // namespace
@@ -112,84 +170,90 @@ void writeText(const Trace& t, std::ostream& os) {
   if (!os) throw std::runtime_error("trace write failed");
 }
 
-Trace readText(std::istream& is) {
+Trace decodeText(std::string_view text) {
   Trace t;
-  std::string line;
+  // Only committed ('\n'-terminated) lines count: a cut file never reads as
+  // a shorter whole one.
+  const wire::Lines lines = wire::splitLines(text);
   std::size_t lineNo = 0;
-  auto next = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++lineNo;
-      if (!line.empty() && line[0] != '#') return true;
-    }
-    return false;
-  };
-  if (!next() || line.rfind("MTTTRACE", 0) != 0) {
-    parseError("missing MTTTRACE header", lineNo);
-  }
+  bool sawHeader = false;
   bool sawEnd = false;
-  while (next()) {
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
+  std::optional<std::uint64_t> eventCount;
+  for (std::string_view line : lines.complete) {
+    ++lineNo;
+    if (line.empty() || line[0] == '#') continue;
+    if (!sawHeader) {
+      if (line != "MTTTRACE 1") parseError("missing MTTTRACE 1 header", lineNo);
+      sawHeader = true;
+      continue;
+    }
+    LineFields f(line, lineNo);
+    const std::string_view kw = f.field("keyword");
     if (kw == "program") {
-      std::string rest;
-      std::getline(ls, rest);
-      t.programName = rest.empty() ? "" : rest.substr(1);
+      t.programName = f.rest();
     } else if (kw == "seed") {
-      ls >> t.seed;
+      t.seed = f.u64("seed");
     } else if (kw == "mode") {
-      std::string m;
-      ls >> m;
-      t.mode =
-          m == "controlled" ? RuntimeMode::Controlled : RuntimeMode::Native;
+      const std::string_view m = f.field("mode");
+      if (m == "controlled") {
+        t.mode = RuntimeMode::Controlled;
+      } else if (m == "native") {
+        t.mode = RuntimeMode::Native;
+      } else {
+        parseError("unknown mode '" + std::string(m) + "'", lineNo);
+      }
     } else if (kw == "thread") {
-      ThreadId id;
-      std::string rest;
-      ls >> id;
-      std::getline(ls, rest);
-      t.threads[id] = rest.empty() ? "" : rest.substr(1);
+      const ThreadId id = f.u32("thread id");
+      t.threads[id] = f.rest();
     } else if (kw == "object") {
-      ObjectId id;
-      std::string kind, rest;
-      ls >> id >> kind;
-      std::getline(ls, rest);
-      t.objects[id] =
-          ObjectSym{kindFromName(kind), rest.empty() ? "" : rest.substr(1)};
+      const ObjectId id = f.u32("object id");
+      const rt::ObjectKind kind = objectKindFromName(f.field("kind"), lineNo);
+      t.objects[id] = ObjectSym{kind, f.rest()};
     } else if (kw == "site") {
-      SiteId id;
-      int bug;
+      const SiteId id = f.u32("site id");
       SiteSym sym;
-      ls >> id >> bug >> sym.line >> sym.file;
-      std::string rest;
-      std::getline(ls, rest);
-      sym.tag = rest.empty() ? "" : rest.substr(1);
-      if (sym.file == "-") sym.file.clear();
-      sym.bug = bug != 0;
+      sym.bug = f.flag("bug flag");
+      sym.line = f.u32("line");
+      const std::string_view file = f.field("file");
+      if (file != "-") sym.file = std::string(file);
+      sym.tag = f.rest();
       t.sites[id] = std::move(sym);
     } else if (kw == "events") {
-      // count is informational; records are self-delimiting
+      eventCount = f.u64("event count");
     } else if (kw == "e") {
       Event e;
-      std::string kind;
-      int bug;
-      ls >> e.seq >> e.thread >> kind >> e.object >> e.syncSite >> e.arg >>
-          bug;
-      if (!ls) parseError("malformed event record", lineNo);
+      e.seq = f.u64("sequence number");
+      e.thread = f.u32("thread");
+      const std::string_view kind = f.field("event kind");
       if (!event_kind_from_string(kind, e.kind)) {
-        parseError("unknown event kind '" + kind + "'", lineNo);
+        parseError("unknown event kind '" + std::string(kind) + "'", lineNo);
       }
+      e.object = f.u32("object");
+      e.syncSite = f.u32("site");
+      e.arg = f.u32("arg");
+      e.bugSite = f.flag("bug flag") ? BugMark::Yes : BugMark::No;
       e.access = access_of(e.kind);
-      e.bugSite = bug ? BugMark::Yes : BugMark::No;
       t.events.push_back(e);
     } else if (kw == "end") {
       sawEnd = true;
-      break;
     } else {
-      parseError("unknown keyword '" + kw + "'", lineNo);
+      parseError("unknown keyword '" + std::string(kw) + "'", lineNo);
     }
+    f.end();
+    if (sawEnd) break;
   }
+  if (!sawHeader) parseError("missing MTTTRACE 1 header", lineNo);
   if (!sawEnd) parseError("missing 'end'", lineNo);
+  if (eventCount && *eventCount != t.events.size()) {
+    parseError("'events " + std::to_string(*eventCount) + "' but " +
+                   std::to_string(t.events.size()) + " event records",
+               lineNo);
+  }
   return t;
+}
+
+Trace readText(std::istream& is) {
+  return decodeText(std::string(std::istreambuf_iterator<char>(is), {}));
 }
 
 void writeTextFile(const Trace& t, const std::string& path) {

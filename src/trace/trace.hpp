@@ -66,7 +66,12 @@ struct Trace {
 void writeText(const Trace& t, std::ostream& os);
 void writeTextFile(const Trace& t, const std::string& path);
 
-/// Parses the text format.  Throws std::runtime_error on malformed input.
+/// Parses the text format, built on core/wire.hpp: only '\n'-terminated
+/// lines count, numbers are strict decimals ("seed 12abc" is rejected),
+/// flags are 0 or 1, the 'events' count must match the records, and
+/// everything after the 'end' line is ignored.  Any defect throws one
+/// std::runtime_error starting "text trace: line N: ".
+Trace decodeText(std::string_view text);
 Trace readText(std::istream& is);
 Trace readTextFile(const std::string& path);
 

@@ -167,6 +167,32 @@ TEST(EventLoopMisuse, DrainFromInsideACallbackFailsTheRun) {
       << r.failureMessage;
 }
 
+TEST(EventLoopMisuse, DrainWhileACallbackIsParkedMidBodyIsFine) {
+  // Every managed thread shares the caller's OS thread under the controlled
+  // runtime, so "inside a callback" must be tracked per managed thread:
+  // main drains while a callback is parked between two of its operations.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    rt::RunOptions o;
+    o.seed = seed;
+    rt::RunResult r = rt::runOnce(
+        RuntimeMode::Controlled,
+        [](Runtime& rt) {
+          EventLoop loop(rt, "loop");
+          SharedVar<int> entered(rt, "entered", 0);
+          SharedVar<int> work(rt, "work", 0);
+          loop.post([&] {
+            entered.write(1);
+            for (int i = 0; i < 3; ++i) work.write(work.read() + 1);
+          });
+          while (entered.read() == 0) rt.yieldNow(site("wait.entered"));
+          loop.drain();
+          if (work.plainGet() != 3) rt.fail("drain returned early");
+        },
+        o);
+    ASSERT_TRUE(r.ok()) << "seed " << seed << ": " << r.failureMessage;
+  }
+}
+
 // --- event inventory ------------------------------------------------------------
 
 TEST(EventLoopEvents, PerTaskInventoryIsComplete) {

@@ -1,13 +1,19 @@
 // Tests for the mtt runtime: controlled scheduler semantics, native mode,
 // policies, determinism, deadlock detection, and the primitive API.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "core/stats.hpp"
+#include "evloop/event_loop.hpp"
+#include "rt/controlled_runtime.hpp"
 #include "rt/flight_recorder.hpp"
 #include "rt/harness.hpp"
 #include "rt/primitives.hpp"
@@ -688,6 +694,137 @@ TEST(Controlled, ObjectRegistryNamesStable) {
 }
 
 // ---------------------------------------------------------------------------
+// Controlled mode: the fiber carrier.
+// ---------------------------------------------------------------------------
+
+TEST(ControlledCarrier, EveryManagedThreadRunsOnTheCallersOsThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::set<std::thread::id> seen;
+  int callbacks = 0;
+  RunResult r = runOnce(
+      RuntimeMode::Controlled,
+      [&](Runtime& rt) {
+        seen.insert(std::this_thread::get_id());
+        Thread a(rt, "a", [&] {
+          seen.insert(std::this_thread::get_id());
+          Thread nested(rt, "nested",
+                        [&] { seen.insert(std::this_thread::get_id()); });
+          nested.join();
+        });
+        evloop::EventLoop loop(rt, "loop");
+        for (int i = 0; i < 3; ++i) {
+          loop.post([&] {
+            seen.insert(std::this_thread::get_id());
+            ++callbacks;
+          });
+        }
+        loop.drain();
+        a.join();
+      },
+      seeded(4));
+  ASSERT_TRUE(r.ok()) << r.failureMessage;
+  EXPECT_EQ(callbacks, 3);
+  EXPECT_EQ(seen, std::set<std::thread::id>{caller});
+}
+
+// Touches `kib` KiB of stack, one KiB per frame.
+int deepStack(int kib) {
+  volatile char frame[1024];
+  for (std::size_t i = 0; i < sizeof frame; i += 64) {
+    frame[i] = static_cast<char>(kib);
+  }
+  if (kib == 0) return frame[0];
+  const int below = deepStack(kib - 1);
+  return below + frame[64];  // read after the call: the frame stays live
+}
+
+TEST(ControlledCarrier, ManagedThreadMayUse128KiBOfStack) {
+  int result = -1;
+  RunResult r = runOnce(RuntimeMode::Controlled, [&](Runtime& rt) {
+    Thread t(rt, "deep", [&] {
+      rt.yieldNow(site("deep.before"));
+      result = deepStack(128);
+      rt.yieldNow(site("deep.after"));
+    });
+    t.join();
+  });
+  ASSERT_TRUE(r.ok()) << r.failureMessage;
+  EXPECT_EQ(result, deepStack(128));
+}
+
+// A clean run whose every thread spawns a child and joins it.
+void nestedCleanBody(Runtime& rt) {
+  SharedVar<int> x(rt, "x", 0);
+  Thread a(rt, "a", [&] {
+    Thread b(rt, "b", [&] { x.write(x.read() + 1); });
+    x.write(x.read() + 1);
+    b.join();
+  });
+  x.write(x.read() + 1);
+  a.join();
+}
+
+TEST(ControlledCarrier, AbortedRunsLeaveTheRuntimeClean) {
+  // Reference: the clean run on a fresh runtime.
+  auto fresh = makeRuntime(RuntimeMode::Controlled);
+  RunResult ref = fresh->run(nestedCleanBody, seeded(9));
+  ASSERT_TRUE(ref.ok()) << ref.failureMessage;
+
+  auto rt = makeRuntime(RuntimeMode::Controlled);
+  for (int i = 0; i < 50; ++i) {
+    const bool deadlock = i % 2 == 0;
+    RunResult bad = rt->run(
+        [deadlock](Runtime& r) {
+          Semaphore never(r, "never", 0);
+          SharedVar<int> spin(r, "spin", 0);
+          Thread outer(r, "outer", [&] {
+            Thread inner(r, "inner", [&] {
+              if (deadlock) never.acquire();
+              while (true) spin.read();  // unwinds on the abort
+            });
+            if (!deadlock) r.fail("outer gave up");
+            inner.join();
+          });
+          outer.join();
+        },
+        seeded(static_cast<std::uint64_t>(i)));
+    ASSERT_EQ(bad.status,
+              deadlock ? RunStatus::Deadlock : RunStatus::AssertFailed)
+        << "run " << i;
+    RunResult next = rt->run(nestedCleanBody, seeded(9));
+    ASSERT_TRUE(next.ok()) << "after run " << i << ": " << next.failureMessage;
+    EXPECT_EQ(next.steps, ref.steps) << "after run " << i;
+    EXPECT_EQ(next.events, ref.events) << "after run " << i;
+  }
+}
+
+TEST(ControlledCarrier, NonStandardExceptionBecomesFailure) {
+  RunResult r = runOnce(RuntimeMode::Controlled, [](Runtime& rt) {
+    Thread t(rt, "thrower", [] { throw 42; });
+    t.join();
+  });
+  EXPECT_EQ(r.status, RunStatus::AssertFailed);
+  EXPECT_EQ(r.failureMessage, "uncaught exception in thrower");
+}
+
+TEST(ControlledCarrier, CallsFromAForeignOsThreadThrowLogicError) {
+  bool threw = false;
+  RunResult r = runOnce(RuntimeMode::Controlled, [&](Runtime& rt) {
+    Mutex m(rt, "m");
+    std::thread foreign([&] {
+      try {
+        m.lock();
+      } catch (const std::logic_error&) {
+        threw = true;
+      }
+    });
+    foreign.join();
+  });
+  ASSERT_TRUE(r.ok()) << r.failureMessage;
+  EXPECT_TRUE(threw);
+}
+
+// ---------------------------------------------------------------------------
 // Native mode.
 // ---------------------------------------------------------------------------
 
@@ -966,6 +1103,57 @@ TEST(FlightRecorder, DumpExportsPartialRecordingAsScenario) {
   fr::disarm();
   EXPECT_FALSE(fr::armed());
   std::remove(path.c_str());
+}
+
+// Recurses `depth` frames of 4 KiB each.
+int overflowStack(int depth) {
+  volatile char frame[4096];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) return frame[0];
+  const int below = overflowStack(depth - 1);
+  return below + frame[0];
+}
+
+TEST(FlightRecorder, GuardPageOverflowStillDumpsThePostmortem) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the sanitizer runtime owns SIGSEGV in this build";
+#else
+  const std::string path = ::testing::TempDir() + "fr_overflow.scenario";
+  std::remove(path.c_str());
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // The forked-worker setup: armed recorder, crash handlers, one run
+    // whose managed thread runs off the end of its fiber stack.
+    fr::arm(path.c_str());
+    fr::installCrashHandlers();
+    fr::RunMeta meta;
+    meta.program = "overflow";
+    meta.policy = "random";
+    meta.noise = "none";
+    fr::beginRun(meta);
+    ControlledRuntime rt;
+    rt.run(
+        [](Runtime& r) {
+          Thread t(r, "deep", [] { overflowStack(1024); });  // 4 MiB
+          t.join();
+        },
+        RunOptions{});
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
+  EXPECT_EQ(WTERMSIG(status), SIGSEGV);
+  std::ifstream in(path);
+  std::ostringstream dump;
+  dump << in.rdbuf();
+  EXPECT_NE(dump.str().find("program overflow"), std::string::npos);
+  EXPECT_NE(dump.str().find("postmortem signal " + std::to_string(SIGSEGV)),
+            std::string::npos)
+      << dump.str();
+  std::remove(path.c_str());
+#endif
 }
 
 }  // namespace

@@ -166,6 +166,21 @@ TEST(TraceText, RejectsMissingEnd) {
   EXPECT_THROW(readText(is), std::runtime_error);
 }
 
+TEST(TraceText, NumbersAreWholeFieldsAndErrorsNameTheFormat) {
+  for (const char* bad :
+       {"seed 12abc", "seed -1", "thread 2x main", "site 1 2 3 f t",
+        "e 1 1 Yield 0 0 0 0 9"}) {
+    std::istringstream is(std::string("MTTTRACE 1\n") + bad + "\nend\n");
+    try {
+      (void)readText(is);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("text trace: line 2: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
 TEST(TraceBinary, RejectsBadMagic) {
   std::istringstream is("XXXX", std::ios::binary);
   EXPECT_THROW(readBinary(is), std::runtime_error);

@@ -1,7 +1,7 @@
 // The decoder harness: one table of every artifact format mtt trades
 // between its tools (MTTSCHED v2/v3, MTTJOURNAL, MSNP1, binary trace v2 and
-// v1, the pipe record, fleet frames carrying HELLO/SPEC/LEASE/RECORD
-// payloads, MTTGUIDE), each with a sample of real encoder output, fed to its
+// v1, the MTTTRACE text trace, the pipe record, fleet frames carrying
+// HELLO/SPEC/LEASE/RECORD payloads, MTTGUIDE), each with a sample of real encoder output, fed to its
 // decoder at every byte prefix and under every single-byte corruption
 // (XOR 0x01/0x55/0xFF; overwrite with '\t', '\n', '-', ' ', 'x').  For
 // every input the decoder must return or throw std::runtime_error naming
@@ -313,6 +313,19 @@ constexpr char kGoldenMTTB2[] =
     "742e6c6f636b0504020105040094010201070300950104020703f0a204050101"
     "05040016d20402060001";
 
+constexpr char kGoldenMTTTRACE[] =
+    "4d5454545241434520310a70726f6772616d206163636f756e740a7365656420"
+    "3330300a6d6f646520636f6e74726f6c6c65640a7468726561642031206d6169"
+    "6e0a746872656164203220776f726b657209620a6f626a6563742035206d7574"
+    "6578206c6f636b0a6f626a65637420362061746f6d696320666c61670a6f626a"
+    "6563742037207661726961626c652062616c616e63650a736974652033203120"
+    "323030206163636f756e742e63707020616363742e726561640a736974652034"
+    "2030203132202d20616363742e6c6f636b0a6576656e747320350a6520312031"
+    "204d757465784c6f636b20352034203020300a65203220312056617252656164"
+    "20372033203020310a6520342032205661725772697465203720332037303030"
+    "3020310a6520332031204d75746578556e6c6f636b20352034203020300a6520"
+    "3330302032205969656c6420362030203120300a656e640a";
+
 constexpr char kGoldenPIPE[] =
     "300931323334353637383930313233096173736572742d6661696c6564093109"
     "310931093309320931093909302e313233343536373839303132333435363809"
@@ -539,6 +552,20 @@ std::vector<Format> formats() {
   out.push_back({"trace_v1", Mode::Strict, traceV1(traceSample()), nullptr,
                  trace::encodeBinary(traceSample()), "binary trace", {},
                  trace});
+
+  // Text: everything after the "end" line is ignored, like MTTSCHED's
+  // trailer.
+  auto textOf = [](const trace::Trace& t) {
+    std::ostringstream os;
+    trace::writeText(t, os);
+    return os.str();
+  };
+  out.push_back({"trace_text", Mode::Strict, textOf(traceSample()),
+                 kGoldenMTTTRACE, "", "text trace", {},
+                 [textOf](std::string_view b) {
+                   return whole(textOf(trace::decodeText(b)));
+                 }});
+  out.back().ignoresTrailing = true;
 
   // The pipe record has no terminator: cut right after its last tab it is
   // byte for byte a record without coverage.  Journal checksums and frame
