@@ -67,6 +67,9 @@ struct Coordinator::Impl {
   std::uint64_t nextConnId = 1;
   std::uint64_t nextLeaseId = 1;
   FleetCounters counters;
+  /// Workers ever made active (HELLO validated, or adopted): gates the
+  /// first lease on FleetOptions::minWorkers.
+  std::size_t workersGreeted = 0;
   bool shutdownDone = false;
 
   // Cross-batch progress bookkeeping.
@@ -277,6 +280,7 @@ struct Coordinator::Impl {
         if (c.sock.valid()) {
           c.active = true;
           ++counters.workersActive;
+          ++workersGreeted;
         }
         return;
       }
@@ -392,7 +396,7 @@ struct Coordinator::Impl {
 #endif
 
   void grantLeases() {
-    if (stopRequested) return;
+    if (stopRequested || workersGreeted < opts.minWorkers) return;
     // Round-robin over healthy workers with spare lease slots.
     bool granted = true;
     while (!pending.empty() && granted) {
@@ -573,6 +577,7 @@ std::uint64_t Coordinator::adopt(Socket sock, std::string peer) {
   conn->lastActivity = Clock::now();
   ++im.counters.workersConnected;
   ++im.counters.workersActive;
+  ++im.workersGreeted;
   const std::uint64_t id = conn->id;
   im.conns.push_back(std::move(conn));
   return id;

@@ -90,6 +90,11 @@ struct FleetOptions {
   /// cleanly.  0 disables the deadline (a coordinator may legitimately wait
   /// indefinitely for its first worker).
   std::chrono::milliseconds noProgressTimeout{0};
+  /// Grant no lease until this many workers have sent HELLO (or been
+  /// adopted); from then on leases flow to whoever is connected.  0 grants
+  /// to the first worker that arrives.  A fleet that never reaches the
+  /// count waits (noProgressTimeout fires only while no worker is active).
+  std::size_t minWorkers = 0;
   /// Quarantine a worker after this many infra-error records from it.
   std::size_t quarantineAfter = 3;
   /// Give up on an index after its lease died this many times and record

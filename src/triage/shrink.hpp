@@ -23,9 +23,24 @@
 //      witness keeps only the stale reads the bug actually needs;
 //   5. final exact-replay verification of the minimized witness.
 //
+// Each sweep (one ddmin granularity, one lowering round) names its
+// candidates by an exact key relative to the snapshot it edits: ddmin by
+// the window it drops, slid right over equal decisions (dropping any one of
+// a run of equal picks gives the same vector), the lowering passes by the
+// position they rewrite.  A probe is a pure function of the candidate and
+// the tool config, so the shrinker keeps the keys rejected on the current
+// schedule — across passes, cleared only when the schedule is replaced —
+// and never runs a candidate twice on one snapshot.  An accepted candidate
+// hands its recorded (repaired) decisions back to become the new schedule;
+// the winner is not run again.
+//
 // Candidate batches are evaluated in parallel through farm::scanCandidates;
 // because the scan always selects the smallest accepted candidate index, the
-// minimized schedule is byte-identical for any --jobs value.
+// minimized schedule is byte-identical for any --jobs value.  So is the
+// `validations` count: it counts what the serial scan runs (every candidate
+// up to and including each winner), and the budget is checked against it.
+// Probes that parallel workers ran past a winner are counted apart, as
+// `speculative`.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +53,8 @@ namespace mtt::triage {
 struct ShrinkOptions {
   /// Workers for candidate evaluation; 0 = hardware concurrency, 1 = serial.
   std::size_t jobs = 1;
-  /// Hard cap on candidate executions (the shrink budget).
+  /// Hard cap on `validations` (the shrink budget); the final exact-replay
+  /// verification may run one past it.
   std::uint64_t maxValidations = 50'000;
   /// Try dropping the noise maker from the replay tool stack first.
   bool allowNoiseStrip = true;
@@ -60,8 +76,14 @@ struct ShrinkResult {
   replay::Scenario minimized;
   std::size_t originalPreemptions = 0;
   std::size_t minimizedPreemptions = 0;
-  /// Candidate/replay executions performed.
+  /// Probes of the serial scan: the reproduction, the noise-strip probe,
+  /// every candidate up to and including each sweep's winner (or the whole
+  /// sweep when none is accepted) and the final verification.  The same for
+  /// any ShrinkOptions::jobs.
   std::uint64_t validations = 0;
+  /// Probes that parallel workers ran past a sweep's winner; always 0 at
+  /// jobs = 1, and varies from run to run above that.
+  std::uint64_t speculative = 0;
   /// Accepted improvements (size or preemption reductions).
   std::uint64_t rounds = 0;
 
@@ -73,8 +95,8 @@ struct ShrinkResult {
   }
 };
 
-/// Minimizes a failing scenario.  Deterministic for a given input and any
-/// ShrinkOptions::jobs value.
+/// Minimizes a failing scenario.  Everything but `speculative` is
+/// deterministic for a given input and any ShrinkOptions::jobs value.
 ShrinkResult shrinkScenario(const replay::Scenario& s,
                             const ShrinkOptions& opts = {});
 

@@ -276,6 +276,9 @@ TEST(FleetEquivalence, TwoWorkerCampaignMatchesJobs1Bitwise) {
   FleetOptions fl;
   fl.listen = "unix:" + sock;
   fl.leaseSize = 7;  // deliberately not a divisor of 60
+  // Both workers join before the first lease: the campaign takes about a
+  // millisecond, and a worker that arrives after it ends never connects.
+  fl.minWorkers = 2;
   fl.farm.scrubTiming = true;
   fl.farm.journalPath = fleetJournal;
 
@@ -337,6 +340,7 @@ TEST(FleetEquivalence, WeakMemoryCampaignMatchesJobs1Bitwise) {
   FleetOptions fl;
   fl.listen = "unix:" + sock;
   fl.leaseSize = 7;
+  fl.minWorkers = 2;
   fl.farm.scrubTiming = true;
   fl.farm.journalPath = fleetJournal;
 
@@ -383,6 +387,7 @@ TEST(FleetEquivalence, GuidedCampaignMatchesInProcessGuide) {
   FleetOptions fl;
   fl.listen = "unix:" + sock;
   fl.leaseSize = 3;
+  fl.minWorkers = 2;
   Coordinator coordinator(base, fl);
   std::vector<std::thread> workers;
   for (int i = 0; i < 2; ++i) {
@@ -426,6 +431,7 @@ TEST(FleetEquivalence, PolicyArmedGuidedCampaignMatchesInProcessGuide) {
   FleetOptions fl;
   fl.listen = "unix:" + sock;
   fl.leaseSize = 3;
+  fl.minWorkers = 2;
   Coordinator coordinator(base, fl);
   std::vector<std::thread> workers;
   for (int i = 0; i < 2; ++i) {

@@ -540,6 +540,86 @@ TEST(Shrink, RespectsTheValidationBudget) {
   EXPECT_LE(r.validations, so.maxValidations + 2);  // + final verification
 }
 
+TEST(Shrink, ValidationCountIsJobsIndependent) {
+  // validations counts the probes of the serial scan, so it (and the
+  // whole stdout of `mtt shrink`) is the same for any worker count; only
+  // `speculative` may move.
+  for (const char* program : {"account", "bounded_buffer_bug"}) {
+    replay::Scenario s = huntFailure(program);
+    ShrinkResult serial = shrinkScenario(s, {});
+    EXPECT_EQ(serial.speculative, 0u) << program;
+    for (std::size_t jobs : {2u, 4u}) {
+      ShrinkOptions so;
+      so.jobs = jobs;
+      ShrinkResult r = shrinkScenario(s, so);
+      EXPECT_EQ(r.validations, serial.validations) << program << " " << jobs;
+      EXPECT_EQ(r.rounds, serial.rounds) << program << " " << jobs;
+      EXPECT_EQ(r.minimized.schedule.decisions,
+                serial.minimized.schedule.decisions)
+          << program << " " << jobs;
+    }
+  }
+}
+
+TEST(Shrink, BudgetIsJobsIndependent) {
+  // The budget is checked against the serial count, so a budget-cut shrink
+  // stops at the same schedule for any worker count.
+  ShrinkOptions so;
+  so.maxValidations = 30;
+  ShrinkResult serial = shrinkScenario(accountScenario(), so);
+  so.jobs = 4;
+  ShrinkResult parallel = shrinkScenario(accountScenario(), so);
+  ASSERT_TRUE(serial.reproduced);
+  EXPECT_LE(serial.validations, so.maxValidations + 1);
+  EXPECT_EQ(parallel.validations, serial.validations);
+  EXPECT_EQ(parallel.minimized.schedule.decisions,
+            serial.minimized.schedule.decisions);
+}
+
+/// Thread picks by id, store picks as "s<age>", space-separated.
+std::string spell(const std::vector<rt::Decision>& ds) {
+  std::string out;
+  for (const rt::Decision& d : ds) {
+    if (!out.empty()) out += ' ';
+    if (d.isStore()) out += 's';
+    out += std::to_string(d.value);
+  }
+  return out;
+}
+
+TEST(Shrink, GoldenMinimizedWitnesses) {
+  // Pinned byte for byte: skipping a candidate whose verdict is already
+  // known must never change which candidate wins.  mp_reorder and iriw
+  // keep StorePicks.
+  struct Golden {
+    const char* program;
+    const char* decisions;
+    const char* fingerprint;
+  };
+  const Golden golden[] = {
+      {"account", "1 1 1 3 3 2 2 2 2 2 2 3 3 3 3 1 1 1 1", "a04a314507fcf923"},
+      {"philosophers_deadlock", "1 1 1 1 3 3 4 4 2 2", "b8e5cac92aaaae0c"},
+      {"bounded_buffer_bug",
+       "1 1 2 1 3 3 1 4 3 3 4 4 4 4 4 4 4 2 2 2 2 2 3 3 3", "7bb9f62e8dc5914f"},
+      {"mp_reorder", "1 1 2 2 2 1 3 3 s0 3 s1 3 2 1 1", "d98a7536a47d0bc2"},
+      {"iriw",
+       "1 1 1 1 1 2 2 3 3 4 5 4 s0 5 s0 5 s1 5 4 s1 4 3 2 1 1 1 1",
+       "a2243deaa0c6adb3"},
+      {"evloop_conn_pool",
+       "1 1 1 1 1 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 3 2 2 2 2 3 3 3 3 3 3 3 3 3 "
+       "3 3 3 3 3 3 4 4 4 4 4 4 4 4 4 4 4 5 5 5 5 5 5 5 5",
+       "fe7642525e0e1f94"},
+  };
+  for (const Golden& g : golden) {
+    ShrinkResult r = shrinkScenario(huntFailure(g.program), {});
+    ASSERT_TRUE(r.verifiedExact) << g.program;
+    EXPECT_EQ(spell(r.minimized.schedule.decisions), g.decisions) << g.program;
+    EXPECT_EQ(r.signature.fingerprint(), g.fingerprint) << g.program;
+  }
+  // No repeat and no winner re-probe: 62 probes (120 if they all ran).
+  EXPECT_EQ(accountShrunk().validations, 62u);
+}
+
 // --- cross-process corpus locking -------------------------------------------
 
 #if MTT_TEST_HAS_FORK

@@ -958,6 +958,12 @@ int cmdShrink(const Args& a) {
       r.noiseStripped ? " (noise stripped)" : "",
       r.verifiedExact ? "exact (verified)" : "NOT exact", outPath.c_str(),
       r.minimized.schedule.size());
+  // Varies from run to run, so it stays off stdout: the report above is the
+  // same for any --jobs.
+  if (r.speculative > 0) {
+    std::fprintf(stderr, "speculative: %llu probes past the winners\n",
+                 static_cast<unsigned long long>(r.speculative));
+  }
   if (a.has("corpus")) {
     triage::Corpus corpus(a.get("corpus", "corpus"));
     triage::InsertResult ins =
