@@ -1,4 +1,4 @@
-// The fault-injection seam's price tag.  The chaos contract is that
+// C1 — the fault-injection seam's price tag.  The chaos contract is that
 // production campaigns pay nothing measurable for the seam: with no
 // injector installed, core::checkFault is one relaxed atomic load and an
 // immediate return.  This bench pins a number on that claim, and on the
@@ -11,36 +11,19 @@
 // couple orders of magnitude of that — tens of millions of decisions per
 // second, far above any realistic campaign's I/O rate.
 #include <cstdio>
-#include <vector>
 
 #include "chaos/chaos.hpp"
 #include "core/fault.hpp"
-#include "core/stats.hpp"
+#include "experiments.hpp"
 
-using namespace mtt;
+namespace mtt::bench {
 
-namespace {
-
-/// ns per call over `iters` calls of `fn`, defeating dead-code elimination
-/// through a volatile accumulator.
-template <typename Fn>
-double nsPerOp(std::size_t iters, Fn&& fn) {
-  volatile std::uint64_t sink = 0;
-  Stopwatch clock;
-  for (std::size_t i = 0; i < iters; ++i) {
-    sink = sink + fn(i);
-  }
-  return clock.elapsedSeconds() * 1e9 / static_cast<double>(iters);
-}
-
-}  // namespace
-
-int main() {
+bool runC1() {
   constexpr std::size_t kIters = 20'000'000;
   const char* kSites[] = {"fleet.coord.send", "fleet.worker.recv",
                           "farm.journal.append", "core.atomic_file.write"};
 
-  std::printf("chaos seam overhead (%zu ops per row)\n\n", kIters);
+  std::printf("%zu ops per row\n\n", kIters);
 
   // 1. The production fast path: no injector installed.
   const double bare = nsPerOp(kIters, [&](std::size_t i) {
@@ -98,5 +81,7 @@ int main() {
                 static_cast<unsigned long long>(stats.triggers),
                 static_cast<unsigned long long>(stats.opsObserved));
   }
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -8,22 +8,21 @@
 // declared masks (v2 behaviour) against the same N tools forced onto
 // EventMask::all() (the old chain, which delivered every event to every
 // listener).  Results go to stdout and BENCH_dispatch.json.
+// Criterion: one kind-filtered tool costs >= 30% less than unfiltered.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/event_mask.hpp"
 #include "core/listener.hpp"
-#include "core/stats.hpp"
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "race/detectors.hpp"
 #include "rt/controlled_runtime.hpp"
 #include "suite/program.hpp"
 #include "trace/trace.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 /// Minimal subscriber: the per-delivery work is one relaxed increment, so
@@ -38,8 +37,6 @@ class CountingTool final : public Listener {
   }
   EventMask subscribedEvents() const override { return mask_; }
   std::string_view listenerName() const override { return name_; }
-
-  std::uint64_t count() const { return count_; }
 
  private:
   std::string name_;
@@ -63,14 +60,12 @@ std::vector<EventMask> toolMasks() {
   };
 }
 
-struct Row {
-  int tools = 0;
-  bool masked = false;
+struct Cost {
   double nsPerEvent = 0.0;
   double deliveriesPerEvent = 0.0;
 };
 
-Row measure(const std::vector<Event>& events, int toolCount, bool masked,
+Cost measure(const std::vector<Event>& events, int toolCount, bool masked,
             std::size_t reps) {
   std::vector<EventMask> masks = toolMasks();
   std::vector<std::unique_ptr<CountingTool>> tools;
@@ -82,7 +77,7 @@ Row measure(const std::vector<Event>& events, int toolCount, bool masked,
               masked ? masks[static_cast<std::size_t>(i)] : EventMask::all());
   }
   RunInfo info;
-  info.programName = internName("bench_dispatch");
+  info.programName = internName("d1_dispatch");
 
   // Warm-up pass (faults in the tables), then the timed repetitions.
   chain.dispatchRunStart(info);
@@ -90,29 +85,23 @@ Row measure(const std::vector<Event>& events, int toolCount, bool masked,
   chain.dispatchRunEnd();
 
   chain.dispatchRunStart(info);
-  Stopwatch sw;
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (const Event& e : events) chain.dispatchEvent(e);
-  }
-  double seconds = sw.elapsedSeconds();
+  const double seconds = bestWall(1, [&] {
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (const Event& e : events) chain.dispatchEvent(e);
+    }
+  });
   DispatchStats stats = chain.stats();
   chain.dispatchRunEnd();
 
-  Row row;
-  row.tools = toolCount;
-  row.masked = masked;
   const double n = static_cast<double>(events.size()) *
                    static_cast<double>(reps);
-  row.nsPerEvent = seconds * 1e9 / n;
-  row.deliveriesPerEvent = static_cast<double>(stats.deliveries) / n;
-  return row;
+  return Cost{seconds * 1e9 / n, static_cast<double>(stats.deliveries) / n};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  suite::registerBuiltins();
-  const std::size_t reps = argc > 1 ? std::stoul(argv[1]) : 400;
+bool runD1() {
+  constexpr std::size_t reps = 400;
 
   // One recorded stream: every measurement dispatches identical events.
   // cache_server exercises mutexes, semaphores, rwlocks, and variables, so
@@ -128,56 +117,43 @@ int main(int argc, char** argv) {
   rt.run([&](rt::Runtime& rr) { program->body(rr); }, o);
   const std::vector<Event> events = rec.takeTrace().events;
 
-  std::printf(
-      "D1: hook dispatch cost, %zu-event stream x %zu reps per row\n\n",
-      events.size(), reps);
+  std::printf("%zu-event stream x %zu reps per row\n\n", events.size(),
+              reps);
 
   TextTable t("D1 / masked (v2) vs unmasked (old chain) dispatch");
   t.header({"tools", "chain", "ns/event", "deliveries/event"});
-  std::vector<Row> rows;
+  std::vector<Json> json;
+  double oneUnmasked = 0.0, oneMasked = 0.0;
   for (int n : {0, 1, 3, 6}) {
     for (bool masked : {false, true}) {
       if (n == 0 && masked) continue;  // empty chain has no mask to apply
-      Row r = measure(events, n, masked, reps);
-      rows.push_back(r);
-      t.row({std::to_string(r.tools),
-             r.tools == 0 ? "empty" : (r.masked ? "masked" : "unmasked"),
-             TextTable::num(r.nsPerEvent, 1),
-             TextTable::num(r.deliveriesPerEvent, 2)});
+      const Cost c = measure(events, n, masked, reps);
+      if (n == 1) (masked ? oneMasked : oneUnmasked) = c.nsPerEvent;
+      t.row({std::to_string(n),
+             n == 0 ? "empty" : (masked ? "masked" : "unmasked"),
+             TextTable::num(c.nsPerEvent, 1),
+             TextTable::num(c.deliveriesPerEvent, 2)});
+      json.push_back(Json::object(
+          {{"tools", n}, {"masked", masked},
+           {"ns_per_event", c.nsPerEvent},
+           {"deliveries_per_event", c.deliveriesPerEvent}}));
     }
   }
   t.print();
 
   // The acceptance number: one kind-filtered tool vs the old chain.
-  double one_unmasked = 0.0, one_masked = 0.0;
-  for (const Row& r : rows) {
-    if (r.tools == 1) (r.masked ? one_masked : one_unmasked) = r.nsPerEvent;
-  }
-  double reduction =
-      one_unmasked > 0.0 ? 1.0 - one_masked / one_unmasked : 0.0;
+  const double reduction =
+      oneUnmasked > 0.0 ? 1.0 - oneMasked / oneUnmasked : 0.0;
   std::printf(
       "\n1 kind-filtered tool: %.1f ns/event vs %.1f unfiltered "
-      "(%.0f%% reduction)\n",
-      one_masked, one_unmasked, reduction * 100.0);
+      "(%.0f%% reduction, target >= 30%%)\n",
+      oneMasked, oneUnmasked, reduction * 100.0);
 
-  std::ofstream js("BENCH_dispatch.json");
-  js << "{\n  \"bench\": \"dispatch\",\n  \"events\": " << events.size()
-     << ",\n  \"reps\": " << reps << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"tools\": %d, \"masked\": %s, \"ns_per_event\": "
-                  "%.2f, \"deliveries_per_event\": %.3f}%s\n",
-                  r.tools, r.masked ? "true" : "false", r.nsPerEvent,
-                  r.deliveriesPerEvent, i + 1 < rows.size() ? "," : "");
-    js << buf;
-  }
-  char tail[96];
-  std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"one_tool_masked_reduction\": %.3f\n}\n",
-                reduction);
-  js << tail;
-  std::printf("wrote BENCH_dispatch.json\n");
-  return reduction >= 0.30 ? 0 : 1;
+  saveJson("D1", "dispatch",
+           {{"events", events.size()}, {"reps", reps},
+            {"rows", Json::array(json)},
+            {"one_tool_masked_reduction", reduction}});
+  return reduction >= 0.30;
 }
+
+}  // namespace mtt::bench

@@ -1,69 +1,46 @@
-// E8 — the farm engine itself: campaign throughput vs. worker count, and
-// the cost of hard crash isolation (forked worker processes) relative to
-// in-process worker threads.
+// E10 — campaign throughput and durability: the farm engine's throughput
+// vs. worker count, the cost of hard crash isolation (forked worker
+// processes) relative to in-process worker threads, and the price of the
+// crash-safe journal.
 //
 // The paper's framework pitch is push-button evaluation; the farm is what
 // keeps that button cheap once campaigns reach thousands of seeded runs.
 // Expected shape: near-linear scaling to the core count (>=3x at 4 jobs),
 // process isolation a modest constant factor behind threads, and the
 // deterministic merge byte-identical to the serial path at every scale.
-#include <algorithm>
+// Criterion: the journaled campaign costs < 2% more wall-clock than the
+// plain one.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "core/stats.hpp"
 #include "core/table.hpp"
 #include "experiment/experiment.hpp"
+#include "experiments.hpp"
 #include "farm/farm.hpp"
-#include "suite/program.hpp"
 
-using namespace mtt;
+namespace mtt::bench {
 
-namespace {
-
-experiment::ExperimentSpec campaignSpec(std::size_t runs) {
-  experiment::ExperimentSpec spec;
-  spec.programName = "bounded_buffer_bug";
-  spec.runs = runs;
-  spec.seedBase = 1;
-  spec.tool.policy = "random";
-  spec.tool.noiseName = "mixed";
-  spec.tool.noiseOpts.strength = 0.3;
-  return spec;
-}
-
-std::string reportLine(const experiment::ExperimentResult& r) {
-  experiment::ReportOptions ro;
-  ro.timing = false;
-  return experiment::findRateReport("x", {r}, ro);
-}
-
-}  // namespace
-
-int main() {
-  suite::registerBuiltins();
+bool runE10() {
   const std::size_t kRuns = 800;
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf(
-      "E8: farm campaign throughput (%zu controlled runs of\n"
-      "bounded_buffer_bug with mixed noise per configuration).\n"
-      "Hardware concurrency: %u — speedup is bounded by min(jobs, cores);\n"
-      "on a single-core host every row is expected to be ~1x.\n\n",
+      "%zu controlled runs of bounded_buffer_bug with mixed noise per\n"
+      "configuration.  Hardware concurrency: %u — speedup is bounded by\n"
+      "min(jobs, cores); on a single-core host every row is expected to be\n"
+      "~1x.\n\n",
       kRuns, cores);
 
   const auto spec = campaignSpec(kRuns);
 
-  Stopwatch serialClock;
-  experiment::ExperimentResult serial = experiment::runExperiment(spec);
-  const double serialSec = serialClock.elapsedSeconds();
+  experiment::ExperimentResult serial;
+  const double serialSec =
+      bestWall(1, [&] { serial = experiment::runExperiment(spec); });
   const std::string serialReport = reportLine(serial);
-  std::printf("serial baseline: %.2f s  (%.0f runs/s)\n\n", serialSec,
+  std::printf("serial baseline: %.4f s  (%.0f runs/s)\n\n", serialSec,
               kRuns / serialSec);
 
-  TextTable t("E8 / speedup vs. worker count");
+  TextTable t("E10 / speedup vs. worker count");
   t.header({"model", "jobs", "wall s", "runs/s", "speedup", "identical"});
   for (farm::WorkerModel model :
        {farm::WorkerModel::Thread, farm::WorkerModel::Process}) {
@@ -74,10 +51,10 @@ int main() {
       farm::ExperimentCampaign ec = farm::runExperimentFarm(spec, fo);
       const double sec = ec.campaign.wallSeconds;
       t.row({std::string(to_string(ec.campaign.model)),
-             std::to_string(ec.campaign.workers), TextTable::num(sec, 2),
+             std::to_string(ec.campaign.workers), TextTable::num(sec, 4),
              TextTable::num(ec.campaign.throughput(), 0),
              TextTable::num(serialSec / sec, 2) + "x",
-             reportLine(ec.result) == serialReport ? "yes" : "NO"});
+             yesNo(reportLine(ec.result) == serialReport)});
     }
   }
   t.print();
@@ -94,39 +71,33 @@ int main() {
   // Same campaign with and without the checksummed journal; best-of-3
   // filters scheduler noise.  Target: < 2% wall-clock overhead (one
   // ~100-byte formatted append + fflush per run; the fsync is wall-clock
-  // batched so microsecond-scale runs never pay one each).
+  // batched so microsecond-scale runs never pay one each).  The journal is
+  // opened for writing, so every repetition starts from an empty file.
   const std::string journalPath = "BENCH_farm.journal";
   auto timeCampaign = [&spec](const std::string& journal) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      if (!journal.empty()) std::remove(journal.c_str());
+    return bestWall(3, [&] {
       farm::FarmOptions fo;
       fo.jobs = 2;
       fo.journalPath = journal;
-      farm::ExperimentCampaign ec = farm::runExperimentFarm(spec, fo);
-      best = std::min(best, ec.campaign.wallSeconds);
-    }
-    return best;
+      farm::runExperimentFarm(spec, fo);
+    });
   };
   const double plainSec = timeCampaign("");
   const double journaledSec = timeCampaign(journalPath);
   const double overhead = plainSec > 0.0 ? journaledSec / plainSec - 1.0 : 0.0;
   std::remove(journalPath.c_str());
+  const bool pass = overhead < 0.02;
   std::printf(
-      "\njournal overhead: %.2f s plain vs %.2f s journaled "
-      "(%+.2f%%, target < 2%%)\n",
-      plainSec, journaledSec, overhead * 100.0);
+      "\njournal overhead: %.4f s plain vs %.4f s journaled, %+.2f%% "
+      "(%.2f us/run; target < 2%%) -> %s\n",
+      plainSec, journaledSec, overhead * 100.0,
+      (journaledSec - plainSec) / kRuns * 1e6, pass ? "PASS" : "FAIL");
 
-  std::ofstream js("BENCH_durability.json");
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"bench\": \"durability\",\n  \"runs\": %zu,\n"
-                "  \"jobs\": 2,\n  \"plain_wall_s\": %.4f,\n"
-                "  \"journaled_wall_s\": %.4f,\n"
-                "  \"journal_overhead\": %.4f,\n"
-                "  \"target_overhead\": 0.02\n}\n",
-                kRuns, plainSec, journaledSec, overhead);
-  js << buf;
-  std::printf("wrote BENCH_durability.json\n");
-  return overhead < 0.02 ? 0 : 1;
+  saveJson("E10", "durability",
+           {{"runs", kRuns}, {"jobs", 2}, {"plain_wall_s", plainSec},
+            {"journaled_wall_s", journaledSec},
+            {"journal_overhead", overhead}, {"target_overhead", 0.02}});
+  return pass;
 }
+
+}  // namespace mtt::bench

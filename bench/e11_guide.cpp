@@ -16,18 +16,17 @@
 // budget, with the invariant that saturation never fires before the
 // universe is fully covered.
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/table.hpp"
 #include "experiment/experiment.hpp"
+#include "experiments.hpp"
 #include "guide/guide.hpp"
 #include "suite/program.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 constexpr std::uint64_t kBudget = 120;
@@ -76,14 +75,13 @@ FixedOutcome runFixed(const experiment::RunSpec& base,
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
+bool runE11() {
   const std::vector<std::string> programs = {
       "account", "check_then_act", "read_modify_write", "work_queue",
       "cache_server"};
 
   std::printf(
-      "E11: guided (UCB1 over noise-heuristic x strength arms) vs. fixed\n"
+      "Guided (UCB1 over noise-heuristic x strength arms) vs. fixed\n"
       "uniform arm cycling, %llu-run budget each, identical seed sequence.\n"
       "'to set' = runs until every failure fingerprint the fixed campaign\n"
       "finds in its WHOLE budget has been observed.\n\n",
@@ -93,15 +91,7 @@ int main() {
   t.header({"program", "fps", "fixed to set", "guided to set", "fraction",
             "<=60%"});
 
-  struct Row {
-    std::string program;
-    std::size_t fingerprints;
-    std::uint64_t fixedRuns;
-    std::uint64_t guidedRuns;
-    bool reached;
-    bool pass;
-  };
-  std::vector<Row> rows;
+  std::vector<Json> json;  // one object per program that has a bug set
   std::size_t passes = 0;
 
   for (const std::string& program : programs) {
@@ -122,24 +112,20 @@ int main() {
     guided.targetFingerprints = fixed.fingerprints;
     guide::GuideResult g = guide::runGuided(base, guided);
 
-    Row r;
-    r.program = program;
-    r.fingerprints = fixed.fingerprints.size();
-    r.fixedRuns = fixed.runsToSet;
-    r.guidedRuns = g.runs();
-    r.reached = g.targetReached;
-    r.pass = g.targetReached &&
-             static_cast<double>(r.guidedRuns) <=
-                 kTargetFraction * static_cast<double>(kBudget);
-    if (r.pass) ++passes;
-    rows.push_back(r);
-
-    t.row({r.program, std::to_string(r.fingerprints),
-           std::to_string(r.fixedRuns),
-           r.reached ? std::to_string(r.guidedRuns) : "not reached",
-           TextTable::frac(static_cast<std::size_t>(r.guidedRuns),
-                           static_cast<std::size_t>(kBudget)),
-           r.pass ? "yes" : "NO"});
+    const bool pass = g.targetReached &&
+                      static_cast<double>(g.runs()) <=
+                          kTargetFraction * static_cast<double>(kBudget);
+    if (pass) ++passes;
+    t.row({program, std::to_string(fixed.fingerprints.size()),
+           std::to_string(fixed.runsToSet),
+           g.targetReached ? std::to_string(g.runs()) : "not reached",
+           TextTable::frac(g.runs(), static_cast<std::size_t>(kBudget)),
+           yesNo(pass)});
+    json.push_back(Json::object(
+        {{"program", program}, {"fingerprints", fixed.fingerprints.size()},
+         {"fixed_runs_to_set", fixed.runsToSet},
+         {"guided_runs_to_set", g.runs()},
+         {"target_reached", g.targetReached}, {"pass", pass}}));
   }
   t.print();
 
@@ -160,27 +146,17 @@ int main() {
   const bool overall = passes >= 3;
   std::printf("\ncriterion: guided reaches the fixed-budget bug set in "
               "<=%.0f%% of the budget on >=3 programs: %zu/%zu -> %s\n",
-              kTargetFraction * 100, passes, rows.size(),
+              kTargetFraction * 100, passes, json.size(),
               overall ? "PASS" : "FAIL");
 
-  std::ofstream json("BENCH_guide.json");
-  json << "{\n \"bench\": \"guide\",\n \"budget\": " << kBudget
-       << ",\n \"target_fraction\": " << kTargetFraction
-       << ",\n \"programs\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << "  {\"program\": \"" << r.program
-         << "\", \"fingerprints\": " << r.fingerprints
-         << ", \"fixed_runs_to_set\": " << r.fixedRuns
-         << ", \"guided_runs_to_set\": " << r.guidedRuns
-         << ", \"target_reached\": " << (r.reached ? "true" : "false")
-         << ", \"pass\": " << (r.pass ? "true" : "false") << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << " ],\n \"saturation\": {\"program\": \"account\", \"runs\": "
-       << gs.runs() << ", \"budget\": " << kBudget
-       << ", \"complete\": " << (gs.coverage.complete() ? "true" : "false")
-       << "},\n \"pass\": " << (overall ? "true" : "false") << "\n}\n";
-
-  return overall ? 0 : 1;
+  const Json saturation =
+      Json::object({{"program", "account"}, {"runs", gs.runs()},
+                    {"budget", kBudget}, {"complete", gs.coverage.complete()}});
+  saveJson("E11", "guide",
+           {{"budget", kBudget}, {"target_fraction", kTargetFraction},
+            {"programs", Json::array(json)}, {"saturation", saturation},
+            {"pass", overall}});
+  return overall;
 }
+
+}  // namespace mtt::bench

@@ -13,51 +13,26 @@
 //       This bounds how large a fleet one coordinator can feed.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "core/stats.hpp"
 #include "core/table.hpp"
 #include "experiment/experiment.hpp"
+#include "experiments.hpp"
 #include "farm/farm.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/protocol.hpp"
 #include "fleet/worker.hpp"
-#include "suite/program.hpp"
 
-using namespace mtt;
+namespace mtt::bench {
 
-namespace {
-
-experiment::ExperimentSpec campaignSpec(std::size_t runs) {
-  experiment::ExperimentSpec spec;
-  spec.programName = "bounded_buffer_bug";
-  spec.runs = runs;
-  spec.seedBase = 1;
-  spec.tool.policy = "random";
-  spec.tool.noiseName = "mixed";
-  spec.tool.noiseOpts.strength = 0.3;
-  return spec;
-}
-
-std::string reportLine(const experiment::ExperimentResult& r) {
-  experiment::ReportOptions ro;
-  ro.timing = false;
-  return experiment::findRateReport("x", {r}, ro);
-}
-
-}  // namespace
-
-int main() {
-  suite::registerBuiltins();
+bool runE12() {
   const std::size_t kRuns = 800;
   std::printf(
-      "E12: fleet dispatch overhead and coordinator fold throughput\n"
-      "(%zu controlled runs of bounded_buffer_bug with mixed noise).\n\n",
+      "%zu controlled runs of bounded_buffer_bug with mixed noise.\n\n",
       kRuns);
 
   const auto spec = campaignSpec(kRuns);
@@ -67,21 +42,17 @@ int main() {
           .string();
 
   // --- (a) serial farm vs. coordinator + one local worker ----------------
-  double farmSec = 1e300;
+  // Each wall covers the whole call: for the fleet that includes starting
+  // the worker thread and its connect.
   farm::ExperimentCampaign farmRun;
-  for (int rep = 0; rep < 3; ++rep) {
+  const double farmSec = bestWall(3, [&] {
     farm::FarmOptions fo;
     fo.jobs = 1;
-    farm::ExperimentCampaign ec = farm::runExperimentFarm(spec, fo);
-    if (ec.campaign.wallSeconds < farmSec) {
-      farmSec = ec.campaign.wallSeconds;
-      farmRun = std::move(ec);
-    }
-  }
+    farmRun = farm::runExperimentFarm(spec, fo);
+  });
 
-  double fleetSec = 1e300;
   farm::ExperimentCampaign fleetRun;
-  for (int rep = 0; rep < 3; ++rep) {
+  const double fleetSec = bestWall(3, [&] {
     fleet::FleetOptions fl;
     fl.listen = "unix:" + sock;
     std::thread worker([&sock] {
@@ -89,13 +60,9 @@ int main() {
       wo.connect = "unix:" + sock;
       fleet::runWorker(wo);
     });
-    farm::ExperimentCampaign ec = fleet::runExperimentFleet(spec, fl);
+    fleetRun = fleet::runExperimentFleet(spec, fl);
     worker.join();
-    if (ec.campaign.wallSeconds < fleetSec) {
-      fleetSec = ec.campaign.wallSeconds;
-      fleetRun = std::move(ec);
-    }
-  }
+  });
   std::filesystem::remove(sock);
 
   const bool identical =
@@ -108,7 +75,7 @@ int main() {
          TextTable::num(kRuns / farmSec, 0), "-", "-"});
   t.row({"fleet, 1 worker", TextTable::num(fleetSec, 3),
          TextTable::num(kRuns / fleetSec, 0),
-         TextTable::num(perRunUs, 1) + " us", identical ? "yes" : "NO"});
+         TextTable::num(perRunUs, 1) + " us", yesNo(identical)});
   t.print();
   std::printf(
       "\nThe overhead column prices one lease/record round trip: frame\n"
@@ -126,20 +93,20 @@ int main() {
   }
   const std::size_t kFold = 200000;
   experiment::ExperimentResult fold;
-  Stopwatch foldClock;
   std::size_t bad = 0;
-  for (std::size_t i = 0; i < kFold; ++i) {
-    std::uint64_t leaseId = 0;
-    experiment::RunObservation obs;
-    std::string err;
-    if (!fleet::decodeRecord(payloads[i % payloads.size()], leaseId, obs,
-                             err)) {
-      ++bad;
-      continue;
+  const double foldSec = bestWall(1, [&] {
+    for (std::size_t i = 0; i < kFold; ++i) {
+      std::uint64_t leaseId = 0;
+      experiment::RunObservation obs;
+      std::string err;
+      if (!fleet::decodeRecord(payloads[i % payloads.size()], leaseId, obs,
+                               err)) {
+        ++bad;
+        continue;
+      }
+      experiment::accumulate(fold, obs);
     }
-    experiment::accumulate(fold, obs);
-  }
-  const double foldSec = foldClock.elapsedSeconds();
+  });
   const double foldRate = kFold / foldSec;
   std::printf(
       "\nfold throughput: %zu records in %.3f s = %.0f records/s"
@@ -150,21 +117,16 @@ int main() {
       foldRate / (kRuns / farmSec));
 
   const bool pass = identical && bad == 0 && perRunUs < 1000.0;
-  std::ofstream js("BENCH_fleet.json");
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n  \"bench\": \"fleet\",\n  \"runs\": %zu,\n"
-                "  \"farm_jobs1_wall_s\": %.4f,\n"
-                "  \"fleet_1worker_wall_s\": %.4f,\n"
-                "  \"per_run_overhead_us\": %.1f,\n"
-                "  \"target_overhead_us\": 1000,\n"
-                "  \"reports_identical\": %s,\n"
-                "  \"fold_records_per_s\": %.0f,\n"
-                "  \"pass\": %s\n}\n",
-                kRuns, farmSec, fleetSec, perRunUs,
-                identical ? "true" : "false", foldRate,
-                pass ? "true" : "false");
-  js << buf;
-  std::printf("wrote BENCH_fleet.json\n");
-  return pass ? 0 : 1;
+  std::printf("\ncriterion: identical reports, 0 decode failures, < 1000 "
+              "us/run overhead -> %s\n",
+              pass ? "PASS" : "FAIL");
+  saveJson("E12", "fleet",
+           {{"runs", kRuns}, {"farm_jobs1_wall_s", farmSec},
+            {"fleet_1worker_wall_s", fleetSec},
+            {"per_run_overhead_us", perRunUs}, {"target_overhead_us", 1000},
+            {"reports_identical", identical}, {"fold_records_per_s", foldRate},
+            {"pass", pass}});
+  return pass;
 }
+
+}  // namespace mtt::bench

@@ -17,19 +17,18 @@
 // tool-ready, replayable callback dispatch costs relative to the bare loop.
 // Results go to stdout and BENCH_evloop.json.
 #include <cstdio>
-#include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/stats.hpp"
 #include "core/table.hpp"
 #include "evloop/event_loop.hpp"
+#include "experiments.hpp"
 #include "rt/controlled_runtime.hpp"
 #include "rt/native_runtime.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 struct Row {
@@ -46,25 +45,21 @@ volatile std::uint64_t g_sink = 0;
 void payload() { g_sink = g_sink + 1; }
 
 Row benchBare(std::uint64_t callbacks) {
-  Row r;
-  r.config = "bare";
-  r.callbacks = callbacks;
   std::vector<std::function<void()>> queue;
   queue.reserve(1024);
-  Stopwatch sw;
-  std::uint64_t done = 0;
-  while (done < callbacks) {
-    for (int i = 0; i < 1024 && done + queue.size() < callbacks; ++i) {
-      queue.push_back(payload);
+  return Row{"bare", callbacks, bestWall(1, [&] {
+    std::uint64_t done = 0;
+    while (done < callbacks) {
+      for (int i = 0; i < 1024 && done + queue.size() < callbacks; ++i) {
+        queue.push_back(payload);
+      }
+      for (auto& fn : queue) {
+        fn();
+        ++done;
+      }
+      queue.clear();
     }
-    for (auto& fn : queue) {
-      fn();
-      ++done;
-    }
-    queue.clear();
-  }
-  r.seconds = sw.elapsedSeconds();
-  return r;
+  })};
 }
 
 /// Posts `callbacks` trivial tasks in bounded waves (each post is a live
@@ -81,68 +76,46 @@ void waves(rt::Runtime& rt, std::uint64_t callbacks, std::uint64_t wave) {
   if (loop.stats().executed != callbacks) rt.fail("lost callbacks");
 }
 
-Row benchNative(std::uint64_t callbacks) {
-  Row r;
-  r.config = "native";
-  r.callbacks = callbacks;
-  rt::NativeRuntime rt;
-  rt::RunOptions o;
-  o.programName = "bench_evloop";
-  Stopwatch sw;
-  rt::RunResult res =
-      rt.run([&](rt::Runtime& rr) { waves(rr, callbacks, 64); }, o);
-  r.seconds = sw.elapsedSeconds();
+/// One instrumented run of `callbacks` callbacks on `rt`.
+Row benchLoop(const char* config, rt::Runtime& rt, std::uint64_t callbacks,
+              const rt::RunOptions& o) {
+  rt::RunResult res;
+  Row r{config, callbacks, bestWall(1, [&] {
+          res = rt.run([&](rt::Runtime& rr) { waves(rr, callbacks, 64); }, o);
+        })};
   if (!res.ok()) {
-    std::fprintf(stderr, "native run failed: %s\n",
-                 res.failureMessage.c_str());
-    std::exit(1);
-  }
-  return r;
-}
-
-Row benchControlled(std::uint64_t callbacks) {
-  Row r;
-  r.config = "controlled";
-  r.callbacks = callbacks;
-  rt::ControlledRuntime rt;
-  rt::RunOptions o;
-  o.programName = "bench_evloop";
-  o.maxSteps = 50'000'000;
-  Stopwatch sw;
-  rt::RunResult res =
-      rt.run([&](rt::Runtime& rr) { waves(rr, callbacks, 64); }, o);
-  r.seconds = sw.elapsedSeconds();
-  if (!res.ok()) {
-    std::fprintf(stderr, "controlled run failed: %s\n",
-                 res.failureMessage.c_str());
-    std::exit(1);
+    throw std::runtime_error(r.config + " run failed: " + res.failureMessage);
   }
   return r;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Scale knob: multiplies the per-config callback counts.
-  const std::uint64_t scale = argc > 1 ? std::stoull(argv[1]) : 1;
-  const std::uint64_t bareN = 2'000'000 * scale;
-  const std::uint64_t nativeN = 20'000 * scale;
-  const std::uint64_t controlledN = 20'000 * scale;
-
-  std::printf("E13: event-loop callback dispatch throughput\n\n");
-
+bool runE13() {
+  rt::RunOptions o;
+  o.programName = "e13_evloop";
   std::vector<Row> rows;
-  rows.push_back(benchBare(bareN));
-  rows.push_back(benchNative(nativeN));
-  rows.push_back(benchControlled(controlledN));
+  rows.push_back(benchBare(2'000'000));
+  rt::NativeRuntime native;
+  rows.push_back(benchLoop("native", native, 20'000, o));
+  rt::ControlledRuntime controlled;
+  o.maxSteps = 50'000'000;
+  rows.push_back(benchLoop("controlled", controlled, 20'000, o));
 
   const double bareNs = rows[0].nsPer();
   TextTable t("E13 / instrumented event loop vs bare std::function loop");
   t.header({"config", "callbacks", "callbacks/sec", "ns/callback", "x bare"});
+  std::vector<Json> json;
+  bool sane = true;  // every configuration actually dispatched callbacks
   for (const Row& r : rows) {
     t.row({r.config, std::to_string(r.callbacks),
            TextTable::num(r.perSec(), 0), TextTable::num(r.nsPer(), 1),
            TextTable::num(r.nsPer() / bareNs, 1)});
+    json.push_back(Json::object(
+        {{"config", r.config}, {"callbacks", r.callbacks},
+         {"per_sec", r.perSec()}, {"ns_per_callback", r.nsPer()},
+         {"x_bare", r.nsPer() / bareNs}}));
+    sane = sane && r.seconds > 0.0 && r.callbacks > 0;
   }
   t.print();
 
@@ -150,28 +123,8 @@ int main(int argc, char** argv) {
       "\nthe multiplier buys: per-callback lifecycle events for every "
       "attached tool,\nreplayable dispatch order (controlled), and noise "
       "injection points (native)\n");
-
-  std::ofstream js("BENCH_evloop.json");
-  js << "{\n  \"bench\": \"evloop\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"config\": \"%s\", \"callbacks\": %llu, "
-                  "\"per_sec\": %.0f, \"ns_per_callback\": %.1f, "
-                  "\"x_bare\": %.1f}%s\n",
-                  r.config.c_str(),
-                  static_cast<unsigned long long>(r.callbacks), r.perSec(),
-                  r.nsPer(), r.nsPer() / bareNs,
-                  i + 1 < rows.size() ? "," : "");
-    js << buf;
-  }
-  js << "  ]\n}\n";
-  std::printf("wrote BENCH_evloop.json\n");
-
-  // Sanity acceptance: every configuration actually dispatched callbacks.
-  for (const Row& r : rows) {
-    if (r.seconds <= 0.0 || r.callbacks == 0) return 1;
-  }
-  return 0;
+  saveJson("E13", "evloop", {{"rows", Json::array(json)}});
+  return sane;
 }
+
+}  // namespace mtt::bench

@@ -3,32 +3,28 @@
 //
 //   (a) find rates of rr / random / pct (true PCT, adaptive run length) /
 //       pos (Partial Order Sampling) across thread-shaped AND event-loop
-//       suite programs, no noise — pure scheduler-vs-scheduler;
+//       suite programs, no noise — pure scheduler-vs-scheduler: when you
+//       own the scheduler, adversarial scheduling subsumes noise, while
+//       noise is the only lever when you don't;
 //   (b) exhaustive exploration with and without sleep-set pruning on the
 //       programs small enough to exhaust: executed schedules, pruned runs,
 //       and the invariant that the verdict is identical.
 //
-// Results go to stdout and BENCH_policies.json.
+// Results go to stdout and BENCH_policies.json.  Criterion: on every
+// explored program sleep sets prune something, execute strictly fewer
+// schedules, and reach the same verdict.
 #include <cstdio>
-#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/table.hpp"
 #include "experiment/experiment.hpp"
+#include "experiments.hpp"
 #include "explore/explorer.hpp"
-#include "suite/program.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
-
-struct FindRow {
-  std::string program;
-  std::string policy;
-  std::size_t found = 0;
-  std::size_t runs = 0;
-};
 
 struct ExploreRow {
   std::string program;
@@ -56,9 +52,7 @@ ExploreRow exploreBoth(const std::string& program) {
     o.sleepSets = sleepSets;
     explore::ExploreResult r = explore::exploreSpec(spec, o);
     if (!r.exhausted) {
-      std::fprintf(stderr, "%s did not exhaust within budget\n",
-                   program.c_str());
-      std::exit(1);
+      throw std::runtime_error(program + " did not exhaust within budget");
     }
     if (sleepSets) {
       row.slept = r.schedules;
@@ -75,20 +69,19 @@ ExploreRow exploreBoth(const std::string& program) {
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
-  std::printf("E14: the policy arsenal — PCT, POS, and sleep-set pruning\n\n");
-
+bool runE14() {
   // --- (a) policy find rates, no noise -------------------------------------
   const std::vector<std::string> policies = {"rr", "random", "pct:d=3",
                                              "pos"};
   const std::vector<std::string> programs = {
-      "account",          "check_then_act", "work_queue",
-      "cache_server",     "notify_lost",    "evloop_conn_pool",
-      "evloop_lru_cache", "evloop_quota_sessions"};
+      "account",          "check_then_act",
+      "work_queue",       "philosophers_deadlock",
+      "cache_server",     "notify_lost",
+      "evloop_conn_pool", "evloop_lru_cache",
+      "evloop_quota_sessions"};
   constexpr std::size_t kRuns = 100;
 
-  std::vector<FindRow> findRows;
+  std::vector<Json> json;  // find rates, then sleep-set rows
   TextTable rates("E14 / policy find rates without noise (100 runs per cell)");
   rates.header({"program", "rr", "random", "pct:d=3", "pos"});
   for (const std::string& prog : programs) {
@@ -102,8 +95,10 @@ int main() {
       auto r = experiment::runExperiment(spec);
       row.push_back(
           TextTable::frac(r.manifested.successes, r.manifested.trials));
-      findRows.push_back(
-          FindRow{prog, policy, r.manifested.successes, kRuns});
+      json.push_back(Json::object({{"kind", "find_rate"},
+                                   {"program", prog}, {"policy", policy},
+                                   {"found", r.manifested.successes},
+                                   {"runs", kRuns}}));
     }
     rates.row(std::move(row));
   }
@@ -111,64 +106,44 @@ int main() {
 
   // --- (b) sleep-set pruning on exhaustive exploration ---------------------
   std::printf("\n");
-  std::vector<ExploreRow> exploreRows;
+  // Acceptance: sleep sets pruned something everywhere, verdicts identical,
+  // and the executed-schedule count strictly dropped.
+  bool pass = true;
   TextTable prune("E14 / sleep-set pruning (exhaustive DFS, same verdict)");
   prune.header({"program", "naive schedules", "sleep-set schedules", "pruned",
                 "saved", "verdict"});
-  for (const std::string& prog :
-       {"account_sync", "check_then_act", "account"}) {
+  for (const char* prog : {"account_sync", "check_then_act", "account"}) {
     ExploreRow row = exploreBoth(prog);
     prune.row({row.program, std::to_string(row.naive),
                std::to_string(row.slept), std::to_string(row.pruned),
                TextTable::num(row.savings(), 1) + "%",
                row.sameVerdict ? "identical" : "DIFFERS"});
-    exploreRows.push_back(row);
+    json.push_back(Json::object(
+        {{"kind", "sleep_sets"}, {"program", row.program},
+         {"naive_schedules", row.naive}, {"sleepset_schedules", row.slept},
+         {"pruned_runs", row.pruned}, {"same_verdict", row.sameVerdict}}));
+    pass = pass && row.sameVerdict && row.slept < row.naive && row.pruned > 0;
   }
   prune.print();
 
   std::printf(
       "\nExpected shape: rr masks everything; random is the strong baseline\n"
       "on these short programs; pct trades uniform coverage for its\n"
-      "depth-targeted guarantee (wins grow with run length); pos matches or\n"
-      "beats random where the racing operations are object-sparse, because\n"
-      "priorities are reassigned exactly at dependent operations.  Sleep-set\n"
-      "pruning explores strictly fewer schedules with identical verdicts —\n"
-      "the classic partial-order-reduction win, now available to any\n"
-      "operation-aware policy through the v2 choice-point API.\n");
+      "depth-targeted guarantee (with d change points its hit rate on a\n"
+      "w-step race window of a k-step run is ~d*w/k, so it wins only on long\n"
+      "runs); pos matches or beats random where the racing operations are\n"
+      "object-sparse, because priorities are reassigned exactly at dependent\n"
+      "operations.  Sleep-set pruning explores strictly fewer schedules with\n"
+      "identical verdicts — the classic partial-order-reduction win, now\n"
+      "available to any operation-aware policy through the v2 choice-point\n"
+      "API.\n");
 
-  std::ofstream js("BENCH_policies.json");
-  js << "{\n  \"bench\": \"policies\",\n  \"rows\": [\n";
-  bool first = true;
-  for (const FindRow& r : findRows) {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "%s    {\"kind\": \"find_rate\", \"program\": \"%s\", "
-                  "\"policy\": \"%s\", \"found\": %zu, \"runs\": %zu}",
-                  first ? "" : ",\n", r.program.c_str(), r.policy.c_str(),
-                  r.found, r.runs);
-    js << buf;
-    first = false;
-  }
-  for (const ExploreRow& r : exploreRows) {
-    char buf[260];
-    std::snprintf(buf, sizeof(buf),
-                  ",\n    {\"kind\": \"sleep_sets\", \"program\": \"%s\", "
-                  "\"naive_schedules\": %llu, \"sleepset_schedules\": %llu, "
-                  "\"pruned_runs\": %llu, \"same_verdict\": %s}",
-                  r.program.c_str(),
-                  static_cast<unsigned long long>(r.naive),
-                  static_cast<unsigned long long>(r.slept),
-                  static_cast<unsigned long long>(r.pruned),
-                  r.sameVerdict ? "true" : "false");
-    js << buf;
-  }
-  js << "\n  ]\n}\n";
-  std::printf("wrote BENCH_policies.json\n");
+  std::printf("\ncriterion: same verdict, fewer schedules, pruned > 0 on "
+              "every program -> %s\n",
+              pass ? "PASS" : "FAIL");
 
-  // Acceptance: sleep sets pruned something everywhere, verdicts identical,
-  // and the executed-schedule count strictly dropped.
-  for (const ExploreRow& r : exploreRows) {
-    if (!r.sameVerdict || r.slept >= r.naive || r.pruned == 0) return 1;
-  }
-  return 0;
+  saveJson("E14", "policies", {{"rows", Json::array(json)}});
+  return pass;
 }
+
+}  // namespace mtt::bench

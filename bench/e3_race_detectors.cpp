@@ -10,14 +10,14 @@
 
 #include "core/stats.hpp"
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "noise/noise.hpp"
 #include "race/detectors.hpp"
 #include "rt/harness.hpp"
 #include "suite/program.hpp"
 #include "trace/trace.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 struct ProgramTraces {
@@ -66,9 +66,7 @@ std::vector<ProgramTraces> generateRepository() {
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
-  std::printf("E3: race detectors on the annotated trace repository\n");
+bool runE3() {
   auto repo = generateRepository();
   std::size_t totalTraces = 0, totalEvents = 0;
   for (const auto& pt : repo) {
@@ -84,19 +82,19 @@ int main() {
   for (const auto& name : race::detectorNames()) {
     Proportion recall;
     std::size_t trueAlarms = 0, falseAlarms = 0;
-    Stopwatch sw;
     std::uint64_t fed = 0;
-    for (const auto& pt : repo) {
-      for (const auto& t : pt.traces) {
-        auto det = race::makeDetector(name);
-        trace::feed(t, *det);
-        fed += t.events.size();
-        if (pt.buggyRaceProgram) recall.add(det->foundAnnotatedBug());
-        trueAlarms += det->trueAlarms();
-        falseAlarms += det->falseAlarms();
+    const double secs = bestWall(1, [&] {
+      for (const auto& pt : repo) {
+        for (const auto& t : pt.traces) {
+          auto det = race::makeDetector(name);
+          trace::feed(t, *det);
+          fed += t.events.size();
+          if (pt.buggyRaceProgram) recall.add(det->foundAnnotatedBug());
+          trueAlarms += det->trueAlarms();
+          falseAlarms += det->falseAlarms();
+        }
       }
-    }
-    double secs = sw.elapsedSeconds();
+    });
     double rate = secs > 0 ? static_cast<double>(fed) / secs : 0.0;
     double falseRate =
         trueAlarms + falseAlarms
@@ -135,5 +133,7 @@ int main() {
       "them on the fork/join- and semaphore-synchronized controls; the\n"
       "happens-before family is precise; fasttrack matches djit at higher\n"
       "throughput; the hybrid keeps lockset coverage with HB confirmation.\n");
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -10,13 +10,13 @@
 
 #include "core/stats.hpp"
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "noise/noise.hpp"
 #include "replay/replay.hpp"
 #include "rt/harness.hpp"
 #include "suite/program.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 // --- controlled exact replay ---------------------------------------------------
@@ -176,9 +176,7 @@ void recordOverheadTable() {
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
-  std::printf("E4: replay likelihood and record overhead\n\n");
+bool runE4() {
   controlledReplayTable();
   std::printf("\n");
   nativeReplayTable();
@@ -189,5 +187,7 @@ int main() {
       "partial replay succeeds on synchronization-dominated programs and\n"
       "diverges when an unsynchronized race resolves differently before the\n"
       "enforcer can constrain it; record overhead is modest.\n");
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -4,14 +4,14 @@
 #include <cstdio>
 
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "coverage/coverage.hpp"
 #include "model/static.hpp"
 #include "noise/noise.hpp"
 #include "rt/harness.hpp"
 #include "suite/program.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 /// Runs `program` `runs` times accumulating switch-pair coverage; returns
@@ -42,10 +42,7 @@ std::pair<std::vector<std::size_t>, std::size_t> coverageCurve(
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
-  std::printf("E5: concurrency coverage across repeated runs\n\n");
-
+bool runE5() {
   const std::size_t kRuns = 60;
   TextTable growth(
       "E5 / switch-pair coverage growth (deterministic scheduler, 60 runs)");
@@ -111,5 +108,7 @@ int main() {
       "the static filter shrinks the task universe to the shared variables,\n"
       "making the coverage ratio meaningful; the saturation run answers the\n"
       "paper's 'how many times should each test be executed'.\n");
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -5,12 +5,12 @@
 #include <cstdio>
 
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "explore/explorer.hpp"
 #include "model/checker.hpp"
 #include "suite/program.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 std::string cell(const explore::ExploreResult& r) {
@@ -39,10 +39,7 @@ explore::ExploreResult runExplore(suite::Program& p, int bound,
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
-  std::printf("E6: systematic exploration of the instrumented programs\n\n");
-
+bool runE6() {
   TextTable t("E6 / schedules to first bug (budget 20000)");
   t.header({"program", "dfs pb=0", "dfs pb=1", "dfs pb=2", "dfs unbounded",
             "random walk"});
@@ -106,5 +103,7 @@ int main() {
       "stateless search re-executes shared prefixes (transitions >>\n"
       "stateful) and sleep sets prune a large fraction of schedules without\n"
       "changing any verdict.\n");
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -5,14 +5,14 @@
 
 #include "core/stats.hpp"
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "experiment/experiment.hpp"
 #include "farm/farm.hpp"
 #include "noise/noise.hpp"
 #include "rt/harness.hpp"
 #include "suite/multi_benchmark.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 // Each seed is an independent farm job (fresh benchmark + runtime + noise
@@ -53,11 +53,10 @@ OutcomeDistribution distributionFor(const std::string& noiseName,
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
+bool runE7() {
   const std::size_t kRuns = 200;
   std::printf(
-      "E7: outcome distribution of the no-input MultiBenchmark\n"
+      "Outcome distribution of the no-input MultiBenchmark\n"
       "(components: ticket_lottery, account, check_then_act,\n"
       "order_violation; %zu runs per configuration)\n\n",
       kRuns);
@@ -97,5 +96,7 @@ int main() {
       "distinct-outcome count and entropy; the random scheduler is the\n"
       "upper reference.  This is the push-button tool comparison the paper\n"
       "proposes for component 4.\n");
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -12,14 +12,14 @@
 #include "core/stats.hpp"
 #include "core/table.hpp"
 #include "coverage/coverage.hpp"
+#include "experiments.hpp"
 #include "model/static.hpp"
 #include "race/detectors.hpp"
 #include "rt/harness.hpp"
 #include "rt/primitives.hpp"
 #include "trace/trace.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 // Workload: 2 threads, each hammering a private variable and occasionally a
@@ -84,10 +84,7 @@ Measurement measure(bool filtered, int listenerCount, std::size_t runs) {
     }
     rt::RunOptions o;
     o.seed = s;
-    Stopwatch sw;
-    rt::RunResult r = rt.run(workload, o);
-    (void)r;
-    ms.add(sw.elapsedSeconds() * 1e3);
+    ms.add(bestWall(1, [&] { rt.run(workload, o); }) * 1e3);
     events.add(static_cast<double>(probe.count()));
   }
   return {ms.mean(), events.mean()};
@@ -95,9 +92,9 @@ Measurement measure(bool filtered, int listenerCount, std::size_t runs) {
 
 }  // namespace
 
-int main() {
+bool runE8() {
   const std::size_t kRuns = 30;
-  std::printf("E8: instrumentation overhead and static filtering (native,\n"
+  std::printf("Instrumentation overhead and static filtering (native,\n"
               "%zu runs per row; listeners: fasttrack, eraser, coverage,\n"
               "trace recorder)\n\n",
               kRuns);
@@ -134,5 +131,7 @@ int main() {
   std::printf("\nfiltered-run fasttrack warnings on 'shared': %zu "
               "(expected 0: it is lock-protected)\n",
               det.warningCount());
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

@@ -16,14 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "core/stats.hpp"
 #include "core/table.hpp"
+#include "experiments.hpp"
 #include "suite/program.hpp"
 #include "triage/probe.hpp"
 #include "triage/shrink.hpp"
 
-using namespace mtt;
-
+namespace mtt::bench {
 namespace {
 
 struct Hunted {
@@ -56,12 +55,11 @@ std::string pct(double x) { return TextTable::num(x * 100.0, 0) + "%"; }
 
 }  // namespace
 
-int main() {
-  suite::registerBuiltins();
+bool runE9() {
   std::printf(
-      "E9: schedule minimization.  Witnesses hunted with mixed noise at\n"
-      "strength 1.0 (maximally bloated schedules), then shrunk with the\n"
-      "signature-preserving ddmin + preemption-lowering passes.\n\n");
+      "Witnesses hunted with mixed noise at strength 1.0 (maximally\n"
+      "bloated schedules), then shrunk with the signature-preserving\n"
+      "ddmin + preemption-lowering passes.\n\n");
 
   const std::vector<std::string> programs = {
       "account", "philosophers_deadlock", "lock_order_inversion",
@@ -69,7 +67,7 @@ int main() {
 
   TextTable t("E9 / witness minimization");
   t.header({"program", "kind", "decisions", "removed", "preempt", "valid",
-            "noise", "replay", "wall s"});
+            "noise", "replay", "wall ms"});
   std::vector<Hunted> hunted;
   for (const std::string& p : programs) {
     Hunted h = hunt(p);
@@ -79,9 +77,9 @@ int main() {
              "-"});
       continue;
     }
-    Stopwatch clock;
-    triage::ShrinkResult r = triage::shrinkScenario(h.scenario, {});
-    const double sec = clock.elapsedSeconds();
+    triage::ShrinkResult r;
+    const double sec =
+        bestWall(1, [&] { r = triage::shrinkScenario(h.scenario, {}); });
     t.row({p, std::string(to_string(r.signature.kind)),
            std::to_string(r.original.size()) + " -> " +
                std::to_string(r.minimized.schedule.size()),
@@ -90,7 +88,7 @@ int main() {
                std::to_string(r.minimizedPreemptions),
            std::to_string(r.validations),
            r.noiseStripped ? "stripped" : "kept",
-           r.verifiedExact ? "exact" : "NOT exact", TextTable::num(sec, 2)});
+           r.verifiedExact ? "exact" : "NOT exact", TextTable::num(sec * 1e3, 1)});
   }
   t.print();
 
@@ -98,16 +96,16 @@ int main() {
       "\nFarm-parallel candidate scanning (same minimized witness for every\n"
       "worker count, by construction — only wall time may move):\n\n");
   TextTable p("E9 / shrink determinism vs. jobs");
-  p.header({"program", "jobs", "decisions", "identical", "wall s"});
+  p.header({"program", "jobs", "decisions", "identical", "wall ms"});
   for (std::size_t i = 0; i < programs.size(); ++i) {
     if (!hunted[i].found) continue;
     std::vector<rt::Decision> serialWitness;
     for (std::size_t jobs : {1u, 2u, 4u}) {
       triage::ShrinkOptions so;
       so.jobs = jobs;
-      Stopwatch clock;
-      triage::ShrinkResult r = triage::shrinkScenario(hunted[i].scenario, so);
-      const double sec = clock.elapsedSeconds();
+      triage::ShrinkResult r;
+      const double sec = bestWall(
+          1, [&] { r = triage::shrinkScenario(hunted[i].scenario, so); });
       if (jobs == 1) serialWitness = r.minimized.schedule.decisions;
       p.row({programs[i], std::to_string(jobs),
              std::to_string(r.minimized.schedule.size()),
@@ -115,9 +113,11 @@ int main() {
                        : (r.minimized.schedule.decisions == serialWitness
                               ? "yes"
                               : "NO"),
-             TextTable::num(sec, 2)});
+             TextTable::num(sec * 1e3, 1)});
     }
   }
   p.print();
-  return 0;
+  return true;
 }
+
+}  // namespace mtt::bench

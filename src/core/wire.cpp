@@ -232,6 +232,30 @@ std::vector<std::string_view> splitFields(std::string_view s, char sep) {
   return fields;
 }
 
+// --- text: JSON strings -----------------------------------------------------
+
+void appendJsonString(std::string& out, std::string_view s) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
 // --- text: lines and tokens --------------------------------------------------
 
 Lines splitLines(std::string_view text) {

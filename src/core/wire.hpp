@@ -13,9 +13,10 @@
 //
 // Text side: strict whole-token decimal parsing (no sign, no whitespace, no
 // trailing junk, no overflow), %.17g doubles that round-trip exactly, fixed
-// 16-digit hex digests, blob hex, the escaped tab-separated field codec, and
-// the line split every append-only format shares: '\n' is the commit
-// marker, so bytes after the last '\n' are a torn tail, never a record.
+// 16-digit hex digests, blob hex, the escaped tab-separated field codec, the
+// JSON string escaper, and the line split every append-only format shares:
+// '\n' is the commit marker, so bytes after the last '\n' are a torn tail,
+// never a record.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +121,13 @@ bool unescapeField(std::string_view s, std::string& out);
 /// Splits on every `sep` (escaped tabs never contain a raw tab, so fields
 /// split cleanly).  Always at least one field.
 std::vector<std::string_view> splitFields(std::string_view s, char sep = '\t');
+
+// --- text: JSON strings -----------------------------------------------------
+
+/// Appends `s` as a quoted JSON string: '"' and '\\' escaped, '\n', '\r'
+/// and '\t' by letter, every other byte below 0x20 as \u00XX.  Bytes from
+/// 0x80 up pass through untouched (UTF-8 stays UTF-8).
+void appendJsonString(std::string& out, std::string_view s);
 
 // --- text: lines and tokens --------------------------------------------------
 

@@ -161,7 +161,7 @@ struct CampaignResult {
 std::size_t resolveJobs(std::size_t jobs);
 
 /// Runs `total` jobs through the farm and returns every record.
-/// The generic entry point: bench_multibench uses it for raw outcome
+/// The generic entry point: experiment E7 uses it for raw outcome
 /// distributions; runExperimentFarm builds the experiment flow on top.
 CampaignResult runJobs(std::uint64_t total, const JobFn& fn,
                        const FarmOptions& options);

@@ -1,7 +1,5 @@
 // Record serialization for mtt::farm: the JSONL observability stream and
 // the escaped-TSV record framing of journal payloads and fleet frames.
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,38 +25,12 @@ std::size_t resolveJobs(std::size_t jobs) {
   return hw != 0 ? hw : 1;
 }
 
-namespace {
-
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string toJson(const experiment::RunObservation& o) {
   std::string j = "{";
   j += "\"run\":" + std::to_string(o.runIndex);
   j += ",\"seed\":" + std::to_string(o.seed);
   j += ",\"status\":";
-  appendJsonString(j, o.status);
+  wire::appendJsonString(j, o.status);
   j += ",\"manifested\":";
   j += o.manifested ? "true" : "false";
   j += ",\"detector_hit\":";
@@ -71,7 +43,7 @@ std::string toJson(const experiment::RunObservation& o) {
   j += ",\"events\":" + std::to_string(o.events);
   j += ",\"injections\":" + std::to_string(o.noiseInjections);
   j += ",\"outcome\":";
-  appendJsonString(j, o.outcome);
+  wire::appendJsonString(j, o.outcome);
   j += ",\"dispatch_deliveries\":" + std::to_string(o.dispatchDeliveries);
   if (o.dispatchNsPerEvent > 0.0) {
     j += ",\"dispatch_ns_per_event\":" +
@@ -89,15 +61,15 @@ std::string toJson(const experiment::RunObservation& o) {
       // Malformed blob: still emit the raw bytes below.
     }
     j += ",\"coverage\":";
-    appendJsonString(j, wire::toHex(o.coverage));
+    wire::appendJsonString(j, wire::toHex(o.coverage));
   }
   if (!o.failureMessage.empty()) {
     j += ",\"error\":";
-    appendJsonString(j, o.failureMessage);
+    wire::appendJsonString(j, o.failureMessage);
   }
   if (!o.postmortemPath.empty()) {
     j += ",\"postmortem\":";
-    appendJsonString(j, o.postmortemPath);
+    wire::appendJsonString(j, o.postmortemPath);
   }
   j += "}";
   return j;

@@ -841,6 +841,25 @@ TEST(WirePrimitives, EscapesRejectWhatTheEncoderNeverWrites) {
   EXPECT_EQ(out, "t\tn\nr\rb\\");
 }
 
+TEST(WirePrimitives, JsonStringsEscapeQuotesBackslashesAndControlBytes) {
+  std::string out;
+  wire::appendJsonString(out, "a\"b\\c");
+  EXPECT_EQ(out, "\"a\\\"b\\\\c\"");
+
+  out.clear();
+  wire::appendJsonString(out, std::string("\n\r\t\x01\x1f\0", 6));
+  EXPECT_EQ(out, "\"\\n\\r\\t\\u0001\\u001f\\u0000\"");
+
+  // 0x7f and bytes from 0x80 up are not control bytes in JSON: raw.
+  out.clear();
+  wire::appendJsonString(out, "\x7f\x80\xc3\xa9\xff");
+  EXPECT_EQ(out, "\"\x7f\x80\xc3\xa9\xff\"");
+
+  out = "k=";
+  wire::appendJsonString(out, "");
+  EXPECT_EQ(out, "k=\"\"");
+}
+
 TEST(WirePrimitives, NewlineIsTheCommitMarker) {
   wire::Lines l = wire::splitLines("a\n\nb\nto");
   ASSERT_EQ(l.complete.size(), 3u);
