@@ -1,19 +1,22 @@
 // E14 — the policy arsenal: operation-aware schedule policies compared as
-// bug finders, plus the sleep-set pruning win on exhaustive exploration.
+// bug finders, plus the DPOR win on exhaustive exploration.
 //
 //   (a) find rates of rr / random / pct (true PCT, adaptive run length) /
 //       pos (Partial Order Sampling) across thread-shaped AND event-loop
 //       suite programs, no noise — pure scheduler-vs-scheduler: when you
 //       own the scheduler, adversarial scheduling subsumes noise, while
 //       noise is the only lever when you don't;
-//   (b) exhaustive exploration with and without sleep-set pruning on the
-//       programs small enough to exhaust: executed schedules, pruned runs,
-//       and the invariant that the verdict is identical.
+//   (b) exhaustive exploration with naive DFS and with Optimal DPOR
+//       (--sleep-sets) on the programs small enough to exhaust: executed
+//       schedules, sleep-blocked runs, and the invariant that verdict and
+//       run-fingerprint set are identical.
 //
 // Results go to stdout and BENCH_policies.json.  Criterion: on every
-// explored program sleep sets prune something, execute strictly fewer
-// schedules, and reach the same verdict.
+// explored program DPOR reaches the same verdict and fingerprint set as
+// naive DFS, executes strictly fewer schedules, and runs no sleep-blocked
+// execution (pruned == 0).
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,19 +25,21 @@
 #include "experiment/experiment.hpp"
 #include "experiments.hpp"
 #include "explore/explorer.hpp"
+#include "suite/program.hpp"
 
 namespace mtt::bench {
 namespace {
 
 struct ExploreRow {
   std::string program;
-  std::uint64_t naive = 0;        // executed schedules, naive DFS
-  std::uint64_t slept = 0;        // executed schedules, sleep sets
-  std::uint64_t pruned = 0;       // runs discarded by sleep sets
+  std::uint64_t naive = 0;   // executed schedules, naive DFS
+  std::uint64_t dpor = 0;    // executed schedules, DPOR
+  std::uint64_t pruned = 0;  // sleep-blocked runs under DPOR
   bool sameVerdict = false;
+  bool sameFingerprints = false;
   double savings() const {
     return naive == 0 ? 0.0
-                      : 100.0 * (1.0 - static_cast<double>(slept) /
+                      : 100.0 * (1.0 - static_cast<double>(dpor) /
                                            static_cast<double>(naive));
   }
 };
@@ -42,28 +47,37 @@ struct ExploreRow {
 ExploreRow exploreBoth(const std::string& program) {
   ExploreRow row;
   row.program = program;
-  bool naiveBug = false, sleptBug = false;
-  for (bool sleepSets : {false, true}) {
-    experiment::RunSpec spec;
-    spec.programName = program;
+  bool bug[2] = {false, false};
+  std::set<std::string> fingerprints[2];
+  for (bool dpor : {false, true}) {
+    auto p = suite::makeProgram(program);
     explore::ExploreOptions o;
     o.stopAtFirstBug = false;
     o.maxSchedules = 5'000'000;
-    o.sleepSets = sleepSets;
-    explore::ExploreResult r = explore::exploreSpec(spec, o);
+    o.sleepSets = dpor;
+    std::set<std::string>& fps = fingerprints[dpor];
+    explore::ExploreResult r = explore::Explorer(o).explore(
+        [&](rt::Runtime& rr) { p->body(rr); },
+        [&](const rt::RunResult& res) {
+          const bool b = p->evaluate(res) == suite::Verdict::BugManifested;
+          fps.insert(std::string(rt::to_string(res.status)) + "|" +
+                     (b ? "bug" : "ok") + "|" + p->outcome());
+          return b;
+        },
+        [&] { p->reset(); });
     if (!r.exhausted) {
       throw std::runtime_error(program + " did not exhaust within budget");
     }
-    if (sleepSets) {
-      row.slept = r.schedules;
+    bug[dpor] = r.bugFound;
+    if (dpor) {
+      row.dpor = r.schedules;
       row.pruned = r.prunedRuns;
-      sleptBug = r.bugFound;
     } else {
       row.naive = r.schedules;
-      naiveBug = r.bugFound;
     }
   }
-  row.sameVerdict = naiveBug == sleptBug;
+  row.sameVerdict = bug[0] == bug[1];
+  row.sameFingerprints = fingerprints[0] == fingerprints[1];
   return row;
 }
 
@@ -81,7 +95,7 @@ bool runE14() {
       "evloop_quota_sessions"};
   constexpr std::size_t kRuns = 100;
 
-  std::vector<Json> json;  // find rates, then sleep-set rows
+  std::vector<Json> json;  // find rates, then DPOR rows
   TextTable rates("E14 / policy find rates without noise (100 runs per cell)");
   rates.header({"program", "rr", "random", "pct:d=3", "pos"});
   for (const std::string& prog : programs) {
@@ -104,27 +118,32 @@ bool runE14() {
   }
   rates.print();
 
-  // --- (b) sleep-set pruning on exhaustive exploration ---------------------
+  // --- (b) DPOR on exhaustive exploration --------------------------------
   std::printf("\n");
-  // Acceptance: sleep sets pruned something everywhere, verdicts identical,
-  // and the executed-schedule count strictly dropped.
+  // Acceptance: verdicts and fingerprint sets identical, the executed-
+  // schedule count strictly dropped, and no sleep-blocked run anywhere.
   bool pass = true;
-  TextTable prune("E14 / sleep-set pruning (exhaustive DFS, same verdict)");
-  prune.header({"program", "naive schedules", "sleep-set schedules", "pruned",
-                "saved", "verdict"});
+  TextTable dporTable(
+      "E14 / Optimal DPOR vs naive DFS (exhaustive, same verdict and "
+      "fingerprints)");
+  dporTable.header({"program", "naive schedules", "DPOR schedules", "pruned",
+                    "saved", "verdict", "fingerprints"});
   for (const char* prog : {"account_sync", "check_then_act", "account"}) {
     ExploreRow row = exploreBoth(prog);
-    prune.row({row.program, std::to_string(row.naive),
-               std::to_string(row.slept), std::to_string(row.pruned),
-               TextTable::num(row.savings(), 1) + "%",
-               row.sameVerdict ? "identical" : "DIFFERS"});
+    dporTable.row({row.program, std::to_string(row.naive),
+                   std::to_string(row.dpor), std::to_string(row.pruned),
+                   TextTable::num(row.savings(), 1) + "%",
+                   row.sameVerdict ? "identical" : "DIFFERS",
+                   row.sameFingerprints ? "identical" : "DIFFER"});
     json.push_back(Json::object(
-        {{"kind", "sleep_sets"}, {"program", row.program},
-         {"naive_schedules", row.naive}, {"sleepset_schedules", row.slept},
-         {"pruned_runs", row.pruned}, {"same_verdict", row.sameVerdict}}));
-    pass = pass && row.sameVerdict && row.slept < row.naive && row.pruned > 0;
+        {{"kind", "dpor"}, {"program", row.program},
+         {"naive_schedules", row.naive}, {"dpor_schedules", row.dpor},
+         {"pruned_runs", row.pruned}, {"same_verdict", row.sameVerdict},
+         {"same_fingerprints", row.sameFingerprints}}));
+    pass = pass && row.sameVerdict && row.sameFingerprints &&
+           row.dpor < row.naive && row.pruned == 0;
   }
-  prune.print();
+  dporTable.print();
 
   std::printf(
       "\nExpected shape: rr masks everything; random is the strong baseline\n"
@@ -133,13 +152,13 @@ bool runE14() {
       "w-step race window of a k-step run is ~d*w/k, so it wins only on long\n"
       "runs); pos matches or beats random where the racing operations are\n"
       "object-sparse, because priorities are reassigned exactly at dependent\n"
-      "operations.  Sleep-set pruning explores strictly fewer schedules with\n"
-      "identical verdicts — the classic partial-order-reduction win, now\n"
-      "available to any operation-aware policy through the v2 choice-point\n"
-      "API.\n");
+      "operations.  Optimal DPOR runs one schedule per Mazurkiewicz trace,\n"
+      "with identical verdicts and fingerprints and no sleep-blocked run —\n"
+      "the partial-order-reduction win, built on the v2 choice-point API's\n"
+      "operation descriptors.\n");
 
-  std::printf("\ncriterion: same verdict, fewer schedules, pruned > 0 on "
-              "every program -> %s\n",
+  std::printf("\ncriterion: same verdict and fingerprint set, fewer "
+              "schedules than naive, pruned == 0 on every program -> %s\n",
               pass ? "PASS" : "FAIL");
 
   saveJson("E14", "policies", {{"rows", Json::array(json)}});

@@ -1,11 +1,14 @@
 // Tests for systematic state-space exploration over the controlled runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "explore/explorer.hpp"
+#include "model/checker.hpp"
 #include "rt/primitives.hpp"
 #include "suite/program.hpp"
 
@@ -170,57 +173,139 @@ TEST(Explorer, WorksOnSuiteProgram) {
   EXPECT_TRUE(r.bugFound);
 }
 
-// --- sleep-set pruning ------------------------------------------------------
+// --- DPOR (--sleep-sets) against naive DFS ----------------------------------
 
-// Exhausts `name` twice — naive DFS and sleep-set-pruned — and checks the
-// soundness contract: strictly fewer executed schedules, same exhaustion
-// verdict, and the identical set of observed run fingerprints
-// (status | verdict | program outcome).
-void expectSleepSetsPreserveVerdicts(const std::string& name) {
+struct Enumeration {
+  ExploreResult result;
+  /// status | verdict | program outcome of every executed run.
+  std::set<std::string> fingerprints;
+  /// "deadlock" / "assertion" for every run whose oracle reported a bug.
+  std::set<std::string> bugKinds;
+};
+
+// Exhausts suite program `name` with the naive DFS or with DPOR, collecting
+// the fingerprint of every run the oracle sees.
+Enumeration enumerate(const std::string& name, bool dpor,
+                      std::uint64_t budget = 2'000'000) {
   suite::registerBuiltins();
-  auto enumerate = [&](bool sleepSets) {
-    auto program = suite::makeProgram(name);
-    ExploreOptions o;
-    o.stopAtFirstBug = false;
-    o.maxSchedules = 2'000'000;
-    o.sleepSets = sleepSets;
-    std::set<std::string> fingerprints;
-    ExploreResult r = Explorer(o).explore(
-        [&](Runtime& rr) { program->body(rr); },
-        [&](const rt::RunResult& res) {
-          const bool bug =
-              program->evaluate(res) == suite::Verdict::BugManifested;
-          fingerprints.insert(std::string(rt::to_string(res.status)) + "|" +
+  auto program = suite::makeProgram(name);
+  ExploreOptions o;
+  o.stopAtFirstBug = false;
+  o.maxSchedules = budget;
+  o.sleepSets = dpor;
+  Enumeration e;
+  e.result = Explorer(o).explore(
+      [&](Runtime& rr) { program->body(rr); },
+      [&](const rt::RunResult& res) {
+        const bool bug =
+            program->evaluate(res) == suite::Verdict::BugManifested;
+        e.fingerprints.insert(std::string(rt::to_string(res.status)) + "|" +
                               (bug ? "bug" : "ok") + "|" + program->outcome());
-          return bug;
-        },
-        [&] { program->reset(); });
-    return std::pair<ExploreResult, std::set<std::string>>(r, fingerprints);
-  };
-  auto [naive, naiveFps] = enumerate(false);
-  auto [pruned, prunedFps] = enumerate(true);
-  ASSERT_TRUE(naive.exhausted) << name;
-  ASSERT_TRUE(pruned.exhausted) << name;
-  EXPECT_EQ(naive.prunedRuns, 0u);
-  EXPECT_LT(pruned.schedules, naive.schedules)
-      << name << ": sleep sets must prune strictly";
-  EXPECT_GT(pruned.prunedRuns, 0u) << name;
-  EXPECT_EQ(naive.bugFound, pruned.bugFound) << name;
-  EXPECT_EQ(naiveFps, prunedFps)
-      << name << ": pruning may only drop Mazurkiewicz-equivalent runs";
+        if (bug) {
+          e.bugKinds.insert(res.status == rt::RunStatus::Deadlock
+                                ? "deadlock"
+                                : "assertion");
+        }
+        return bug;
+      },
+      [&] { program->reset(); });
+  return e;
+}
+
+// The soundness contract, checked against an independent engine: DPOR
+// reaches the same verdict and the same set of run fingerprints as naive
+// search, never executes a sleep-blocked run, and never runs more (with
+// `strictly`, fewer).
+void expectDporMatchesNaive(const std::string& name, bool strictly = false) {
+  const Enumeration naive = enumerate(name, false);
+  const Enumeration dpor = enumerate(name, true);
+  ASSERT_TRUE(naive.result.exhausted) << name;
+  ASSERT_TRUE(dpor.result.exhausted) << name;
+  EXPECT_EQ(naive.result.prunedRuns, 0u);
+  EXPECT_EQ(dpor.result.prunedRuns, 0u) << name;
+  EXPECT_LE(dpor.result.schedules, naive.result.schedules) << name;
+  if (strictly) {
+    EXPECT_LT(dpor.result.schedules, naive.result.schedules) << name;
+  }
+  EXPECT_EQ(naive.result.bugFound, dpor.result.bugFound) << name;
+  EXPECT_EQ(naive.fingerprints, dpor.fingerprints)
+      << name << ": the reduction may only drop Mazurkiewicz-equivalent runs";
 }
 
 TEST(SleepSets, ExhaustCheckThenActWithFewerSchedules) {
-  expectSleepSetsPreserveVerdicts("check_then_act");
+  expectDporMatchesNaive("check_then_act", /*strictly=*/true);
 }
 
 TEST(SleepSets, ExhaustAccountWithFewerSchedules) {
-  expectSleepSetsPreserveVerdicts("account");
+  expectDporMatchesNaive("account", /*strictly=*/true);
+}
+
+// Every suite program whose naive search exhausts within 200k schedules
+// (the largest, mp_reorder_fixed, takes 34 325).
+class DporAgreesWithNaive : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DporAgreesWithNaive, SameVerdictAndFingerprintsWithNoPrunedRuns) {
+  expectDporMatchesNaive(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dpor, DporAgreesWithNaive,
+    ::testing::Values("account", "account_sync", "barrier_reuse",
+                      "check_then_act", "crash_deref", "double_checked_lock",
+                      "flag_publish", "flag_publish_fixed",
+                      "lock_order_inversion", "mp_reorder_fixed",
+                      "notify_lost", "order_violation",
+                      "producer_consumer_sem", "rwlock_upgrade",
+                      "seqlock_torn_read_fixed", "sleep_sync"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+TEST(Dpor, VerdictsMatchTheModelChecker) {
+  // The 8 programs with an IR model: is a bug reachable, and is it a
+  // deadlock or an assertion?  model::check is a separate engine with its
+  // own search (stateful DFS over the IR), so agreement is evidence.  Where
+  // DPOR cannot exhaust a buggy program within the budget (the IR model of
+  // read_modify_write keeps 2 of its 4 increments per thread), the kinds it
+  // found must be ones the model checker reports.
+  suite::registerBuiltins();
+  int compared = 0;
+  for (const std::string& name : suite::allProgramNames()) {
+    auto program = suite::makeProgram(name);
+    const model::Program* ir = program->irModel();
+    if (ir == nullptr) continue;
+    ++compared;
+    const model::CheckResult mc = model::check(*ir);
+    ASSERT_TRUE(mc.exhausted) << name;
+    std::set<std::string> modelKinds;
+    if (mc.deadlocks > 0) modelKinds.insert("deadlock");
+    if (mc.assertViolations > 0) modelKinds.insert("assertion");
+    const Enumeration dpor = enumerate(name, true, 20'000);
+    EXPECT_EQ(dpor.result.bugFound, mc.foundBug()) << name;
+    if (dpor.result.exhausted) {
+      EXPECT_EQ(dpor.bugKinds, modelKinds) << name;
+    } else {
+      EXPECT_TRUE(dpor.result.bugFound) << name << ": a control must exhaust";
+      EXPECT_TRUE(std::includes(modelKinds.begin(), modelKinds.end(),
+                                dpor.bugKinds.begin(), dpor.bugKinds.end()))
+          << name;
+    }
+  }
+  EXPECT_EQ(compared, 8);
+}
+
+TEST(Dpor, RejectsAPreemptionBound) {
+  ExploreOptions o;
+  o.sleepSets = true;
+  o.preemptionBound = 1;
+  EXPECT_THROW(Explorer(o).explore(racyBody), std::invalid_argument);
+  EXPECT_THROW(ExplorerPolicy(0, true), std::invalid_argument);
 }
 
 TEST(SleepSets, PruneCleanLockedProgram) {
-  // The mutex-protected increments commute almost everywhere: sleep sets
-  // must exhaust the same (bug-free) space with strictly fewer runs.
+  // The mutex-protected increments commute almost everywhere: DPOR must
+  // exhaust the same (bug-free) space with strictly fewer runs, none of
+  // them sleep-blocked.
   ExploreOptions naive, slept;
   naive.stopAtFirstBug = slept.stopAtFirstBug = false;
   naive.maxSchedules = slept.maxSchedules = 1'000'000;
@@ -231,6 +316,7 @@ TEST(SleepSets, PruneCleanLockedProgram) {
   ASSERT_TRUE(s.exhausted);
   EXPECT_FALSE(s.bugFound);
   EXPECT_LT(s.schedules, n.schedules);
+  EXPECT_EQ(s.prunedRuns, 0u);
 }
 
 TEST(SleepSets, StillFindDeadlocksAndTheCounterexampleReplays) {
@@ -239,6 +325,7 @@ TEST(SleepSets, StillFindDeadlocksAndTheCounterexampleReplays) {
   ExploreResult r = Explorer(o).explore(inversionBody);
   ASSERT_TRUE(r.bugFound);
   EXPECT_EQ(r.bugResult.status, rt::RunStatus::Deadlock);
+  EXPECT_EQ(r.prunedRuns, 0u);
   rt::ReplayPolicy rep(r.counterexample);
   rt::ControlledRuntime replayRt(std::make_unique<rt::PolicyRef>(rep));
   rt::RunResult rr = replayRt.run(inversionBody, rt::RunOptions{});
@@ -265,3 +352,4 @@ TEST(Explorer, CustomOracleDrivesSearch) {
 
 }  // namespace
 }  // namespace mtt::explore
+

@@ -404,12 +404,30 @@ TEST(FarmRetry, PersistentInfraFailureIsRecordedNotFatal) {
 // --- early stop + JSONL ----------------------------------------------------
 
 TEST(FarmStop, StopOnRecordCancelsRemainingRuns) {
+  // Runs 0 and 1 open worker 0's block (the farm hands each worker a
+  // contiguous block); every later job waits, boundedly, until the stop
+  // predicate has seen run 1's record, so no worker can finish all 1000
+  // jobs before the stop.
+  std::atomic<bool> stopSeen{false};
   FarmOptions fo;
   fo.jobs = 2;
-  fo.stopOnRecord = [](const experiment::RunObservation& o) {
-    return o.runIndex == 1;
+  fo.stopOnRecord = [&](const experiment::RunObservation& o) {
+    if (o.runIndex != 1) return false;
+    stopSeen = true;
+    return true;
   };
-  CampaignResult cr = runJobs(1000, quickJob, fo);
+  CampaignResult cr = runJobs(
+      1000,
+      [&](std::uint64_t i) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (i > 1 && !stopSeen &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        return quickJob(i);
+      },
+      fo);
   EXPECT_TRUE(cr.stoppedEarly);
   EXPECT_LT(cr.records.size(), 1000u);
   EXPECT_GE(cr.records.size(), 1u);

@@ -116,14 +116,22 @@ TEST(Cli, ParameterizedPoliciesRunAndHunt) {
   EXPECT_EQ(pos.exitCode, 0) << pos.output;
 }
 
-TEST(Cli, ExploreSleepSetsReportsPrunedRuns) {
-  // account_sync is clean: exploration exhausts, and with --sleep-sets some
-  // runs are discarded as redundant commutations.
+TEST(Cli, ExploreSleepSetsExhaustsWithoutPrunedRuns) {
+  // account_sync is clean: DPOR exhausts it without a sleep-blocked run, so
+  // no discarded-run note is printed.
   CmdResult r = runCli("explore account_sync --sleep-sets --budget 2000000");
   EXPECT_EQ(r.exitCode, 1) << r.output;  // no bug -> exit 1
-  EXPECT_NE(r.output.find("pruned by sleep sets"), std::string::npos)
-      << r.output;
   EXPECT_NE(r.output.find("exhausted"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("sleep-blocked"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("pruned"), std::string::npos) << r.output;
+}
+
+TEST(Cli, ExploreRejectsBoundWithSleepSets) {
+  // Partial-order reduction under a preemption bound is unsound.
+  CmdResult r = runCli("explore account --bound 1 --sleep-sets");
+  EXPECT_EQ(r.exitCode, 2) << r.output;
+  EXPECT_NE(r.output.find("preemption bound"), std::string::npos)
+      << r.output;
 }
 
 TEST(Cli, TracegenAndAnalyze) {

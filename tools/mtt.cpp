@@ -181,7 +181,8 @@ int usage() {
       "  alias; pos draws a fresh random priority per pending operation and\n"
       "  reassigns the priorities of racing operations after each step.\n"
       "  explore enumerates systematically and rejects --policy; --sleep-sets\n"
-      "  prunes schedules that only commute independent operations.\n"
+      "  selects Optimal DPOR (one schedule per Mazurkiewicz trace) and\n"
+      "  cannot be combined with --bound.\n"
       "\n"
       "  weak memory: programs tagged 'atomics' use mem::Atomic with\n"
       "  explicit memory orders; --seq-cst (run/hunt/experiment) forces\n"
@@ -901,9 +902,11 @@ int cmdExplore(const Args& a) {
     triageScenario(a, sc, pr.signature, path);
     return 0;
   }
+  // DPOR never starts a sleep-blocked run; if one happens anyway, say so.
   std::string prunedNote;
   if (r.prunedRuns > 0) {
-    prunedNote = ", " + std::to_string(r.prunedRuns) + " pruned by sleep sets";
+    prunedNote =
+        ", " + std::to_string(r.prunedRuns) + " sleep-blocked runs discarded";
   }
   std::printf("no bug in %llu schedules%s%s\n",
               static_cast<unsigned long long>(r.schedules), prunedNote.c_str(),
