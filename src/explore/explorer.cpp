@@ -17,15 +17,24 @@ constexpr const char* kBoundedDpor =
     "a preemption bound cannot be combined with --sleep-sets (DPOR): "
     "partial-order reduction under a preemption bound is unsound";
 
-/// DPOR's dependence relation: rt::independent() with two refinements.  Two
-/// loads of one atomic commute (each moves only its own thread's clock and
-/// coherence floor), so a load depends only on the stores and RMWs of its
-/// location and on fences.  A sleep's expiry is ordered with everything.
+/// DPOR's dependence relation: rt::independent() with three refinements.
+/// Two loads of one atomic commute (each moves only its own thread's clock
+/// and coherence floor), so a load depends only on the stores and RMWs of
+/// its location and on fences.  The read side of an rwlock commutes with
+/// itself.  A sleep's expiry is ordered with everything.
+/// Read-lock and read-unlock of an rwlock: each only moves the reader count
+/// (and an unlock joins the readers' release clock, which neither reads),
+/// so any two of them, by different threads, commute.
+bool readSide(OpKind k) {
+  return k == OpKind::RwRead || k == OpKind::RwUnlockRead;
+}
+
 bool dependent(const PendingOpInfo& a, const PendingOpInfo& b) {
   if (a.thread == b.thread) return true;
   if (a.kind == OpKind::AtomicLoad && b.kind == OpKind::AtomicLoad) {
     return false;
   }
+  if (readSide(a.kind) && readSide(b.kind)) return false;
   // A sleep expires after a number of steps, any steps: every event moves
   // its enabledness, so it stays ordered with all of them.
   if (a.kind == OpKind::Sleep || b.kind == OpKind::Sleep) return true;
@@ -96,7 +105,7 @@ int objectLanesOf(const PendingOpInfo& op, bool scan, LaneRef out[2]) {
     case OpKind::RwWrite:
     case OpKind::RwUnlockRead:
     case OpKind::RwUnlockWrite:
-      out[0] = lane(kRwLane, op.object, op.kind == OpKind::RwRead);
+      out[0] = lane(kRwLane, op.object, readSide(op.kind));
       return 1;
     case OpKind::VarRead:
     case OpKind::VarWrite:
@@ -754,14 +763,13 @@ ExplorerPolicy::Reversal ExplorerPolicy::reversible(std::uint32_t i,
       return yes(ei.holder == kNoThread || ei.holder == b.thread);
     case OpKind::RwWrite: {
       if (ei.holder != kNoThread) return Reversal::No;
-      // Readers that take the lock between i and j without happening after
-      // i still hold it when j would run.
-      std::uint32_t readers = ei.readers;
+      // The read-side events between i and j that do not happen after i
+      // still run before j: count the readers they leave.
+      std::int64_t readers = ei.readers;
       for (std::uint32_t k = i + 1; k < j; ++k) {
         const PendingOpInfo& o = stepOf(k).op;
-        if (o.kind == OpKind::RwRead && o.object == b.object &&
-            !hbBefore(i, k)) {
-          ++readers;
+        if (readSide(o.kind) && o.object == b.object && !hbBefore(i, k)) {
+          readers += o.kind == OpKind::RwRead ? 1 : -1;
         }
       }
       return yes(readers == 0);

@@ -22,7 +22,9 @@
 //     Aronis, Jonsson, Sagonas, "Optimal Dynamic Partial Order Reduction",
 //     POPL 2014).  Each finished run is scanned for reversible races under
 //     the dependence relation (rt::independent() plus program order, with
-//     two loads of one atomic independent); each race plants a wakeup
+//     two loads of one atomic and the read side of an rwlock independent,
+//     and a sleep's expiry ordered with everything); each race plants a
+//     wakeup
 //     sequence at the node before its first event, and nodes branch only
 //     on those sequences.  Sleep sets stay inside the algorithm, so no run
 //     reaches a node whose enabled operations are all asleep, and one run
