@@ -16,6 +16,7 @@
 // budget, with the invariant that saturation never fires before the
 // universe is fully covered.
 #include <cstdio>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -60,11 +61,22 @@ struct FixedOutcome {
 FixedOutcome runFixed(const experiment::RunSpec& base,
                       const std::vector<guide::Arm>& arms) {
   FixedOutcome out;
+  // One tool stack per heuristic, as the guided campaign keeps.
+  std::map<std::string, experiment::ToolStack> stacks;
   for (std::uint64_t i = 0; i < kBudget; ++i) {
     const guide::Arm& arm = arms[static_cast<std::size_t>(i) % arms.size()];
     experiment::RunSpec spec = guide::armSpec(base, arm);
     spec.seedBase = base.seedBase + i;
-    experiment::RunObservation obs = experiment::executeRun(spec, 0);
+    auto it = stacks.find(arm.noise);
+    if (it == stacks.end()) {
+      it = stacks.emplace(arm.noise, experiment::makeToolStack(spec.tool))
+               .first;
+    }
+    if (it->second.noiseMaker() != nullptr) {
+      it->second.noiseMaker()->setOptions(spec.tool.noiseOpts);
+    }
+    experiment::RunObservation obs =
+        experiment::executeRun(spec, 0, it->second);
     std::string fp = guide::observationFingerprint(obs);
     if (!fp.empty() && out.fingerprints.insert(fp).second) {
       out.runsToSet = i + 1;

@@ -187,11 +187,6 @@ ToolStack makeToolStack(const ToolConfig& tool) {
   return b.build();
 }
 
-RunObservation executeRun(const RunSpec& spec, std::size_t i) {
-  ToolStack tools = makeToolStack(spec.tool);
-  return executeRun(spec, i, tools);
-}
-
 RunObservation executeRun(const RunSpec& spec, std::size_t i,
                           ToolStack& tools) {
   auto program = suite::makeProgram(spec.programName);
@@ -202,12 +197,10 @@ RunObservation executeRun(const RunSpec& spec, std::size_t i,
     policy = spec.policyFactory ? spec.policyFactory()
                                 : makePolicy(spec.tool.policy);
   }
-  auto rt = rt::makeRuntime(spec.tool.mode, std::move(policy));
-
   // reset() first: a reused stack must start every run in the same state a
   // freshly-built stack would, or reports stop being seed-deterministic.
   tools.reset();
-  tools.attach(*rt);
+  rt::Runtime& rt = tools.runtime(spec.tool.mode, std::move(policy));
   if (tools.coverageModel() != nullptr && spec.tool.coverageClosedUniverse) {
     if (const model::Program* ir = program->irModel()) {
       tools.coverageModel()->declareTasks(model::contentionTaskUniverse(*ir));
@@ -235,7 +228,7 @@ RunObservation executeRun(const RunSpec& spec, std::size_t i,
   }
 
   rt::RunResult r =
-      rt->run([&](rt::Runtime& rr) { program->body(rr); }, opts);
+      rt.run([&](rt::Runtime& rr) { program->body(rr); }, opts);
   rt::fr::endRun();
 
   RunObservation obs;

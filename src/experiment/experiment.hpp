@@ -183,16 +183,10 @@ void validateToolConfig(const ToolConfig& tool);
 ToolStack makeToolStack(const ToolConfig& tool);
 
 /// Executes run `i` of the spec (seed = spec.seedBase + i) on the calling
-/// thread.  Thread-safe: each call builds its own program instance,
-/// runtime, and tool stack, so any number of runs of the same spec may
-/// execute concurrently.
-RunObservation executeRun(const RunSpec& spec, std::size_t i);
-
-/// Same, but attaches a caller-provided tool stack instead of building one
-/// per run — campaign loops build the stack once and reuse it.  The stack
-/// is reset() at the start of the run, so the observation is identical to
-/// the build-per-run overload for the same (spec, i).  Not thread-safe with
-/// respect to `tools`: one stack serves one run at a time.
+/// thread, on `tools` and the runtime it keeps (ToolStack::runtime).  The
+/// stack is reset() first, so the observation is identical to one on a
+/// freshly built stack.  One stack serves one run at a time; runs on
+/// distinct stacks may execute concurrently.
 RunObservation executeRun(const RunSpec& spec, std::size_t i,
                           ToolStack& tools);
 

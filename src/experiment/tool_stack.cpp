@@ -4,7 +4,8 @@
 #include <utility>
 
 #include "mem/mmrace.hpp"
-#include "rt/runtime.hpp"
+#include "rt/controlled_runtime.hpp"
+#include "rt/harness.hpp"
 
 namespace mtt::experiment {
 
@@ -13,6 +14,20 @@ void ToolStack::attach(rt::Runtime& rt) {
     l->bindRuntime(rt);
     rt.hooks().add(l);
   }
+}
+
+rt::Runtime& ToolStack::runtime(RuntimeMode mode,
+                                std::unique_ptr<rt::SchedulePolicy> policy) {
+  if (runtime_ == nullptr || runtime_->mode() != mode) {
+    runtime_ = rt::makeRuntime(mode, std::move(policy));
+  } else if (mode == RuntimeMode::Controlled) {
+    static_cast<rt::ControlledRuntime&>(*runtime_).setPolicy(
+        std::move(policy));
+  }
+  // Every time: a caller may have attached the tools to another runtime
+  // since the last run.
+  attach(*runtime_);
+  return *runtime_;
 }
 
 void ToolStack::reset() {

@@ -1,4 +1,5 @@
-// Owned tool stacks — Hook API v2's registration surface.
+// Owned tool stacks — Hook API v2's registration surface, and the run
+// kernel every run loop keeps.
 //
 // Before v2, every campaign site (experiment, explore, farm, the CLI, the
 // triage probes) hand-rolled the same dance: allocate detectors, allocate a
@@ -6,9 +7,9 @@
 // order, keep the unique_ptrs alive, and rebuild all of it for every run.
 // A ToolStack owns the tools once, validates the ordering invariant at
 // build time (noise makers register last, so analysis tools observe each
-// event before the perturbation), and re-targets the same tool objects at a
-// fresh runtime per run via Listener::bindRuntime — campaign runs reuse
-// tools instead of reallocating them.
+// event before the perturbation), and owns the one runtime its runs
+// execute on, so a loop that keeps a stack reinitializes a runtime per run
+// instead of building one.
 #pragma once
 
 #include <functional>
@@ -23,13 +24,14 @@
 #include "deadlock/lockgraph.hpp"
 #include "noise/noise.hpp"
 #include "race/detectors.hpp"
+#include "rt/policy.hpp"
+#include "rt/runtime.hpp"
 #include "trace/trace.hpp"
 
 namespace mtt::experiment {
 
-/// An ordered, owned set of tools for one run at a time.  Move-only; build
-/// through ToolStackBuilder.  attach() may be called once per run against
-/// any number of successive runtimes.
+/// An ordered, owned set of tools, and the runtime they observe, for one
+/// run at a time.  Move-only; build through ToolStackBuilder.
 class ToolStack {
  public:
   ToolStack() = default;
@@ -39,9 +41,15 @@ class ToolStack {
   ToolStack& operator=(const ToolStack&) = delete;
 
   /// Re-targets every tool at `rt` (Listener::bindRuntime) and registers
-  /// the stack with rt.hooks() in build order.  The runtime must outlive
-  /// the run; the stack must outlive the runtime's run() call.
+  /// the stack with rt.hooks() in build order, once per runtime.  The stack
+  /// must outlive the runtime's run() call.
   void attach(rt::Runtime& rt);
+
+  /// The runtime this stack's runs execute on, tools attached: built on
+  /// first use and again only when `mode` changes.  Controlled runs then
+  /// schedule under `policy` (nullptr keeps the current one).
+  rt::Runtime& runtime(RuntimeMode mode,
+                       std::unique_ptr<rt::SchedulePolicy> policy);
 
   /// Returns every tool to its freshly-constructed observable state
   /// (Listener::resetTool).  executeRun calls this at the start of each
@@ -49,7 +57,6 @@ class ToolStack {
   /// build-tools-per-run path.
   void reset();
 
-  bool empty() const { return order_.empty(); }
   std::size_t size() const { return order_.size(); }
 
   /// Typed views into the stack (nullptr / empty when absent).
@@ -73,6 +80,7 @@ class ToolStack {
   noise::NoiseMaker* noise_ = nullptr;
   trace::TraceRecorder* recorder_ = nullptr;
   mtt::coverage::CoverageModel* coverage_ = nullptr;
+  std::unique_ptr<rt::Runtime> runtime_;
 };
 
 /// Builds a ToolStack and enforces the ordering convention the hook API has
@@ -131,7 +139,8 @@ class ToolStackBuilder {
 };
 
 /// A thread-safe pool of interchangeable ToolStacks for parallel campaigns:
-/// each worker leases a stack per run instead of rebuilding the tool set.
+/// each worker leases a stack (and its runtime) per run instead of
+/// rebuilding the tool set.
 /// Locking happens only at run boundaries (acquire/release), never on the
 /// event path.  The pool's internals are shared-ptr managed, so a lease
 /// held by an abandoned (timed-out) worker stays valid even after the

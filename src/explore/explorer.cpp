@@ -932,22 +932,19 @@ ExploreResult Explorer::explore(
   rt::RunOptions opts;
   opts.maxSteps = opts_.maxStepsPerRun;
 
-  auto attachTools = [this](rt::Runtime& rt) {
-    if (opts_.tools == nullptr) return;
-    opts_.tools->reset();
-    opts_.tools->attach(rt);
-  };
+  // One runtime for the whole search, kept by the caller's tool stack (or
+  // by an empty one): each run reinitializes it instead of building one.
+  experiment::ToolStack bare;
+  experiment::ToolStack& tools = opts_.tools ? *opts_.tools : bare;
 
   if (opts_.randomWalk) {
+    auto rec = std::make_unique<rt::RecordingPolicy>(
+        std::make_unique<rt::RandomPolicy>());
+    const rt::RecordingPolicy& recorded = *rec;
+    rt::Runtime& rt = tools.runtime(RuntimeMode::Controlled, std::move(rec));
     for (std::uint64_t i = 0; i < opts_.maxSchedules; ++i) {
       if (prepare) prepare();
-      rt::ControlledRuntime rt(
-          std::make_unique<rt::RandomPolicy>());
-      auto rec = std::make_unique<rt::RecordingPolicy>(
-          std::make_unique<rt::RandomPolicy>());
-      rt::RecordingPolicy* recPtr = rec.get();
-      rt.setPolicy(std::move(rec));
-      attachTools(rt);
+      tools.reset();
       opts.seed = opts_.seed + i;
       rt::RunResult r = rt.run(body, opts);
       ++result.schedules;
@@ -958,7 +955,7 @@ ExploreResult Explorer::explore(
         if (!result.bugFound) {
           result.bugFound = true;
           result.firstBugSchedule = result.schedules;
-          result.counterexample = recPtr->schedule();
+          result.counterexample = recorded.schedule();
           result.bugResult = r;
         }
         if (opts_.stopAtFirstBug) return result;
@@ -967,11 +964,13 @@ ExploreResult Explorer::explore(
     return result;
   }
 
-  ExplorerPolicy policy(opts_.preemptionBound, opts_.sleepSets);
+  auto owned =
+      std::make_unique<ExplorerPolicy>(opts_.preemptionBound, opts_.sleepSets);
+  ExplorerPolicy& policy = *owned;
+  rt::Runtime& rt = tools.runtime(RuntimeMode::Controlled, std::move(owned));
   for (std::uint64_t i = 0; i < opts_.maxSchedules; ++i) {
     if (prepare) prepare();
-    rt::ControlledRuntime rt(std::make_unique<rt::PolicyRef>(policy));
-    attachTools(rt);
+    tools.reset();
     opts.seed = opts_.seed;
     rt::RunResult r = rt.run(body, opts);
     result.totalSteps += r.steps;

@@ -340,25 +340,23 @@ CampaignResult runJobs(std::uint64_t total, const JobFn& fn,
   return detail::runJobsThreads(total, fn, options);
 }
 
+JobFn experimentJob(const experiment::RunSpec& spec) {
+  // Leased stacks are reset by executeRun, so results are unchanged.  The
+  // pool is shared-ptr captured because a timed-out worker thread can
+  // outlive the campaign while still holding its lease.
+  auto pool = std::make_shared<experiment::ToolStackPool>(
+      [tool = spec.tool]() { return experiment::makeToolStack(tool); });
+  return [spec, pool](std::uint64_t i) {
+    auto lease = pool->acquire();
+    return experiment::executeRun(spec, static_cast<std::size_t>(i), *lease);
+  };
+}
+
 ExperimentCampaign runExperimentFarm(const experiment::ExperimentSpec& spec,
                                      const FarmOptions& options) {
   const FarmOptions opts = detail::experimentOptions(spec, options);
-  // Workers lease pooled tool stacks instead of rebuilding the tool set per
-  // run; executeRun resets each leased stack, so results are unchanged.  The
-  // pool is shared-ptr captured because a timed-out worker thread can
-  // outlive this call while still holding its lease.
-  auto pool = std::make_shared<experiment::ToolStackPool>(
-      [tool = spec.tool]() { return experiment::makeToolStack(tool); });
-
-  return detail::foldExperiment(
-      spec, runJobs(
-                spec.runs,
-                [&spec, pool](std::uint64_t i) {
-                  auto lease = pool->acquire();
-                  return experiment::executeRun(
-                      spec, static_cast<std::size_t>(i), *lease);
-                },
-                opts));
+  return detail::foldExperiment(spec,
+                                runJobs(spec.runs, experimentJob(spec), opts));
 }
 
 }  // namespace mtt::farm

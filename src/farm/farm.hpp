@@ -50,7 +50,7 @@ enum class WorkerModel : std::uint8_t {
 std::string_view to_string(WorkerModel m);
 
 /// One campaign job: produce the observation for run `index`.
-/// Must be thread-safe across concurrent indices (experiment::executeRun is).
+/// Must be thread-safe across concurrent indices (experimentJob's is).
 using JobFn = std::function<experiment::RunObservation(std::uint64_t index)>;
 
 struct FarmOptions {
@@ -165,6 +165,11 @@ std::size_t resolveJobs(std::size_t jobs);
 /// distributions; runExperimentFarm builds the experiment flow on top.
 CampaignResult runJobs(std::uint64_t total, const JobFn& fn,
                        const FarmOptions& options);
+
+/// The job that runs index i of `spec` (experiment::executeRun) on a tool
+/// stack leased from a pool built for spec.tool: each worker reuses a stack
+/// and its runtime instead of building them per run.
+JobFn experimentJob(const experiment::RunSpec& spec);
 
 /// A farm-executed prepared experiment: the merged (deterministic) result
 /// plus the campaign telemetry.

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -36,60 +35,26 @@ namespace {
 thread_local void* tl_current = nullptr;
 
 // --- fiber stacks -------------------------------------------------------------
-// Each stack is ControlledRuntime::kFiberStackSize usable bytes above one
-// PROT_NONE guard page, mapped MAP_NORESERVE and never prefaulted or zeroed,
-// so resident memory is only the pages a thread touched.  Most callers build
-// a runtime per run, so the pool is process-wide: a run takes its stacks
-// here and gives them back when it ends.
+// Each stack is kStackSize usable bytes above one PROT_NONE guard page,
+// mapped MAP_NORESERVE and never prefaulted or zeroed, so resident memory is
+// only the pages a thread touched.  A runtime maps its stacks on first use
+// and keeps them until it is destroyed.
 
-class StackPool {
- public:
-  char* take() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!free_.empty()) {
-        char* s = free_.back();
-        free_.pop_back();
-        return s;
-      }
-    }
-    void* p = ::mmap(nullptr, guard_ + kSize, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                     -1, 0);
-    if (p == MAP_FAILED) {
-      throw std::runtime_error("cannot map a managed-thread stack");
-    }
-    if (::mprotect(p, guard_, PROT_NONE) != 0) {
-      ::munmap(p, guard_ + kSize);
-      throw std::runtime_error("cannot guard a managed-thread stack");
-    }
-    return static_cast<char*>(p) + guard_;
+constexpr std::size_t kStackSize = ControlledRuntime::kFiberStackSize;
+const std::size_t kGuard = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+
+char* mapStack() {
+  void* p = ::mmap(nullptr, kGuard + kStackSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                   0);
+  if (p == MAP_FAILED) {
+    throw std::runtime_error("cannot map a managed-thread stack");
   }
-
-  /// Takes every stack in `stacks` back (unmapping past the pool's cap).
-  void give(std::vector<char*>& stacks) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (char* s : stacks) {
-      if (free_.size() < kMaxPooled) {
-        free_.push_back(s);
-      } else {
-        ::munmap(s - guard_, guard_ + kSize);
-      }
-    }
-    stacks.clear();
+  if (::mprotect(p, kGuard, PROT_NONE) != 0) {
+    ::munmap(p, kGuard + kStackSize);
+    throw std::runtime_error("cannot guard a managed-thread stack");
   }
-
- private:
-  static constexpr std::size_t kSize = ControlledRuntime::kFiberStackSize;
-  static constexpr std::size_t kMaxPooled = 64;
-  const std::size_t guard_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  std::mutex mu_;
-  std::vector<char*> free_;
-};
-
-StackPool& stackPool() {
-  static StackPool* pool = new StackPool;  // outlives every runtime
-  return *pool;
+  return static_cast<char*>(p) + kGuard;
 }
 
 // --- vector-clock helpers (weak-memory model) ------------------------------
@@ -133,6 +98,10 @@ constexpr std::size_t kMaxStoreHistory = 64;
 ControlledRuntime::ControlledRuntime(std::unique_ptr<SchedulePolicy> policy)
     : policy_(policy ? std::move(policy)
                      : std::make_unique<RandomPolicy>()) {}
+
+ControlledRuntime::~ControlledRuntime() {
+  for (char* s : stacks_) ::munmap(s - kGuard, kGuard + kStackSize);
+}
 
 void ControlledRuntime::setPolicy(std::unique_ptr<SchedulePolicy> p) {
   if (p) policy_ = std::move(p);
@@ -978,7 +947,8 @@ void ControlledRuntime::visibleOp(PendingOp op, bool mayThrow,
 
 void ControlledRuntime::startFiber(Tcb& t) {
   if (spare_.empty()) {
-    t.stack = stackPool().take();
+    t.stack = mapStack();
+    stacks_.push_back(t.stack);
   } else {
     t.stack = spare_.back();
     spare_.pop_back();
@@ -1111,6 +1081,11 @@ RunResult ControlledRuntime::run(std::function<void(Runtime&)> body,
   scClock_.clear();
   forceSeqCst_ = opts.forceSeqCst;
   resetEventCount();
+  resetObjects();
+  // Every stack is free again.  Handing them out in mapping order makes a
+  // thread's stack a function of the schedule: the same schedule runs each
+  // thread on the same stack on every run of this runtime.
+  spare_.assign(stacks_.rbegin(), stacks_.rend());
   policy_->onRunStart(opts.seed);
   // Bind the (process-global) flight recorder to this runtime for the
   // duration of the run; a no-op unless fr::arm was called.
@@ -1140,7 +1115,6 @@ RunResult ControlledRuntime::run(std::function<void(Runtime&)> body,
 #endif
   switchTo(nullptr, scheduleNextLocked());
   tl_current = outer;
-  stackPool().give(spare_);
 #if MTT_TSAN_FIBERS
   for (const auto& t : tcbs_) {
     if (t->tsanFiber != nullptr) __tsan_destroy_fiber(t->tsanFiber);

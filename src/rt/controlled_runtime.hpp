@@ -15,11 +15,13 @@
 //  * Livelock guard: runs abort after RunOptions::maxSteps decisions.
 //
 // Carrier: every managed thread is a user-space context (ucontext) on a
-// pooled, guard-paged stack, and all of them run on the OS thread that
-// called run().  A parking thread asks the scheduler for the next thread and
-// switches straight to it; the last thread to finish switches back to run().
-// No OS thread is created and no lock or condition variable is touched on
-// the turn path.  Consequences for code running in managed threads:
+// guard-paged stack the runtime keeps across runs (mapped when a run first
+// needs one more, unmapped with the runtime), and all of them run on the
+// OS thread that called run().  A parking thread asks the scheduler for
+// the next thread and switches straight to it; the last thread to finish
+// switches back to run().  No OS thread is created and no lock or
+// condition variable is touched on the turn path.  Consequences for code
+// running in managed threads:
 //  * std::this_thread::get_id() and thread_local storage are the caller's;
 //    per-managed-thread state must be keyed by currentThread().
 //  * Each managed thread has kFiberStackSize bytes of stack; touching the
@@ -72,6 +74,7 @@ class ControlledRuntime final : public Runtime {
 
   /// Uses RandomPolicy if none is given.
   explicit ControlledRuntime(std::unique_ptr<SchedulePolicy> policy = nullptr);
+  ~ControlledRuntime() override;
 
   RuntimeMode mode() const override { return RuntimeMode::Controlled; }
 
@@ -282,8 +285,8 @@ class ControlledRuntime final : public Runtime {
   void releaseMutexFullyLocked(MutexState& m);
   // Carrier.  switchTo saves the running context (`from`, or run()'s caller
   // when null) and resumes `to` (the caller when null), starting `to` on a
-  // pooled stack if it never ran.  A finished `from` leaves for good: its
-  // stack goes to spare_ for the next thread this runtime starts.
+  // spare stack if it never ran.  A finished `from` leaves for good: its
+  // stack goes to spare_ for the next thread this run starts.
   void switchTo(Tcb* from, Tcb* to);
   void startFiber(Tcb& t);
   static void fiberEntry(unsigned hi, unsigned lo);
@@ -298,7 +301,8 @@ class ControlledRuntime final : public Runtime {
   /// does not grow with the threads a run has already finished.
   std::vector<Tcb*> live_;
   ucontext_t callerCtx_;      ///< run()'s caller while a run is on
-  std::vector<char*> spare_;  ///< stacks of finished threads, this run
+  std::vector<char*> stacks_;  ///< every stack this runtime mapped, in order
+  std::vector<char*> spare_;   ///< the stacks no thread of this run holds
   // Sanitizer bookkeeping of the caller's stack (ASan / TSan builds only).
   const void* callerStackBottom_ = nullptr;
   std::size_t callerStackSize_ = 0;

@@ -114,6 +114,7 @@ RunResult NativeRuntime::run(std::function<void(Runtime&)> body,
     abort_.store(false, std::memory_order_relaxed);
     blockTimeout_ = opts.blockTimeout;
     resetEventCount();
+    resetObjects();
   }
   hooks_.setTimingEnabled(opts.dispatchTiming);
   RunInfo info;

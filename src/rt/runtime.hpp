@@ -278,9 +278,10 @@ class Runtime {
   }
 
   /// Executes `body` as the managed main thread (ThreadId 1) and returns
-  /// when every managed thread has finished or the run aborted.
-  /// A Runtime instance is intended for a single run; create a fresh one per
-  /// run for deterministic object ids (TestHarness does).
+  /// when every managed thread has finished or the run aborted.  A runtime
+  /// runs any number of times, one run at a time.  Each run starts with an
+  /// empty object registry, so it numbers its objects exactly as a fresh
+  /// runtime would; resolve a run's object names before the next run.
   virtual RunResult run(std::function<void(Runtime&)> body,
                         const RunOptions& opts) = 0;
 
@@ -393,6 +394,11 @@ class Runtime {
     return seq_.load(std::memory_order_relaxed);
   }
   void resetEventCount() { seq_.store(0, std::memory_order_relaxed); }
+  /// Empties the object registry (the runtimes call it at run start).
+  void resetObjects() {
+    std::lock_guard<std::mutex> lk(objMu_);
+    objects_.clear();
+  }
 
   HookChain hooks_;
   std::function<bool(const Event&)> filter_;

@@ -78,33 +78,24 @@ class CandidatePolicy final : public rt::SchedulePolicy {
   rt::RoundRobinPolicy fallback_;
 };
 
-/// Shared probe body: builds program + controlled runtime around `inner`
-/// (ownership stays with the caller), attaches the scenario's tool stack,
-/// runs once, and signs the result.  `exact` is sampled after the run.
-ProbeResult executeProbe(const std::string& program, rt::SchedulePolicy& inner,
+/// Shared probe body: runs the program once on `tools` (or a stack built
+/// for the call) under `inner`, recording, and signs the result.  `exact`
+/// is sampled after the run.
+ProbeResult executeProbe(const std::string& program,
+                         std::unique_ptr<rt::SchedulePolicy> inner,
                          const ReplayToolConfig& cfg,
+                         experiment::ToolStack* tools,
                          const std::function<bool()>& exact) {
+  experiment::ToolStack own;
+  if (tools == nullptr) tools = &(own = probeStack(cfg));
   auto prog = suite::makeProgram(program);
   prog->reset();
 
-  rt::RecordingPolicy recording(std::make_unique<rt::PolicyRef>(inner));
-  rt::ControlledRuntime rt(std::make_unique<rt::PolicyRef>(recording));
-
-  SignatureCollector collector;
-  experiment::ToolStackBuilder builder;
-  builder.borrowed(&collector);
-  if (cfg.noiseName != "none" && !cfg.noiseName.empty()) {
-    noise::NoiseOptions nopts;
-    nopts.strength = cfg.strength;
-    try {
-      builder.noise(cfg.noiseName, nopts);
-    } catch (const std::runtime_error&) {
-      throw std::runtime_error("unknown noise heuristic '" + cfg.noiseName +
-                               "' in replay tool config");
-    }
-  }
-  experiment::ToolStack tools = builder.build();
-  tools.attach(rt);
+  auto recording = std::make_unique<rt::RecordingPolicy>(std::move(inner));
+  const rt::RecordingPolicy& rec = *recording;
+  tools->reset();
+  auto& rt = static_cast<rt::ControlledRuntime&>(
+      tools->runtime(RuntimeMode::Controlled, std::move(recording)));
 
   rt::RunOptions opts = prog->defaultRunOptions();
   opts.seed = cfg.seed;
@@ -115,15 +106,33 @@ ProbeResult executeProbe(const std::string& program, rt::SchedulePolicy& inner,
   bool manifested =
       prog->evaluate(out.result) == suite::Verdict::BugManifested;
   out.outcome = prog->outcome();
+  const auto& collector =  // probeStack registers it first
+      static_cast<const SignatureCollector&>(*tools->listeners().front());
   out.signature = makeSignature(out.result, manifested, out.outcome,
                                 collector.bugSiteTags());
-  out.recorded = recording.schedule();
+  out.recorded = rec.schedule();
   out.noiseDecisions = rt.decisionNoise();
   out.exact = exact();
   return out;
 }
 
 }  // namespace
+
+experiment::ToolStack probeStack(const ReplayToolConfig& cfg) {
+  experiment::ToolStackBuilder builder;
+  builder.listener(std::make_unique<SignatureCollector>());
+  if (cfg.noiseName != "none" && !cfg.noiseName.empty()) {
+    noise::NoiseOptions nopts;
+    nopts.strength = cfg.strength;
+    try {
+      builder.noise(cfg.noiseName, nopts);
+    } catch (const std::runtime_error&) {
+      throw std::runtime_error("unknown noise heuristic '" + cfg.noiseName +
+                               "' in replay tool config");
+    }
+  }
+  return builder.build();
+}
 
 ReplayToolConfig toolConfigOf(const replay::Scenario& s) {
   ReplayToolConfig cfg;
@@ -133,23 +142,35 @@ ReplayToolConfig toolConfigOf(const replay::Scenario& s) {
   return cfg;
 }
 
+ProbeResult recordRun(const std::string& program,
+                      std::unique_ptr<rt::SchedulePolicy> policy,
+                      const ReplayToolConfig& cfg) {
+  return executeProbe(program, std::move(policy), cfg, nullptr,
+                      [] { return true; });
+}
+
 ProbeResult recordRun(const std::string& program, const std::string& policy,
                       const ReplayToolConfig& cfg) {
-  auto inner = experiment::makePolicy(policy);
-  return executeProbe(program, *inner, cfg, [] { return true; });
+  return recordRun(program, experiment::makePolicy(policy), cfg);
 }
 
 ProbeResult probeExact(const std::string& program, const rt::Schedule& s,
-                       const ReplayToolConfig& cfg) {
-  rt::ReplayPolicy rep(s);
-  return executeProbe(program, rep, cfg, [&rep] { return !rep.diverged(); });
+                       const ReplayToolConfig& cfg,
+                       experiment::ToolStack* tools) {
+  auto rep = std::make_unique<rt::ReplayPolicy>(s);
+  const rt::ReplayPolicy& r = *rep;
+  return executeProbe(program, std::move(rep), cfg, tools,
+                      [&r] { return !r.diverged(); });
 }
 
 ProbeResult probeCandidate(const std::string& program,
                            const std::vector<rt::Decision>& decisions,
-                           const ReplayToolConfig& cfg) {
-  CandidatePolicy cand(decisions);
-  return executeProbe(program, cand, cfg, [&cand] { return cand.exact(); });
+                           const ReplayToolConfig& cfg,
+                           experiment::ToolStack* tools) {
+  auto cand = std::make_unique<CandidatePolicy>(decisions);
+  const CandidatePolicy& c = *cand;
+  return executeProbe(program, std::move(cand), cfg, tools,
+                      [&c] { return c.exact(); });
 }
 
 std::size_t countPreemptions(const std::vector<rt::Decision>& decisions) {

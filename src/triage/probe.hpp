@@ -14,14 +14,17 @@
 //                      run actually took are re-recorded.  The recorded
 //                      vector is always exactly replayable by probeExact.
 //
-// Every probe builds its own program instance, runtime and tool stack, so
-// any number of probes may run concurrently (the property farm-parallel
-// candidate batches rely on).
+// A probe runs on a probe tool stack (probeStack) and the runtime it keeps,
+// so a loop of probes passes one stack.  Every probe builds its own program
+// instance: probes on distinct stacks may run concurrently (the property
+// farm-parallel candidate batches rely on).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "experiment/tool_stack.hpp"
 #include "replay/replay.hpp"
 #include "rt/policy.hpp"
 #include "triage/signature.hpp"
@@ -51,22 +54,34 @@ struct ProbeResult {
   std::string outcome;    ///< program outcome string
 };
 
-/// Runs the program under a fresh policy built by name ("random", "rr",
+/// The tool stack a probe under `cfg` runs on: a SignatureCollector first,
+/// then the noise maker cfg names.  Throws std::runtime_error on an unknown
+/// noise heuristic.
+experiment::ToolStack probeStack(const ReplayToolConfig& cfg);
+
+/// Runs the program under `policy` (or one built by name, "random", "rr",
 /// "priority") at cfg.seed, recording schedule + signature.
+ProbeResult recordRun(const std::string& program,
+                      std::unique_ptr<rt::SchedulePolicy> policy,
+                      const ReplayToolConfig& cfg);
 ProbeResult recordRun(const std::string& program, const std::string& policy,
                       const ReplayToolConfig& cfg);
 
 /// Exact replay of a recorded schedule (rt::ReplayPolicy).  exact is false
-/// when the replay diverged.
+/// when the replay diverged.  Runs on `tools` (from probeStack(cfg)), or
+/// on a stack built for the call.
 ProbeResult probeExact(const std::string& program, const rt::Schedule& s,
-                       const ReplayToolConfig& cfg);
+                       const ReplayToolConfig& cfg,
+                       experiment::ToolStack* tools = nullptr);
 
 /// Best-effort execution of an edited decision vector (see file comment).
 /// StorePick decisions are consumed at store choice points; an edit that
 /// misaligned them is repaired by observing the coherence-newest store.
+/// `tools` as for probeExact.
 ProbeResult probeCandidate(const std::string& program,
                            const std::vector<rt::Decision>& decisions,
-                           const ReplayToolConfig& cfg);
+                           const ReplayToolConfig& cfg,
+                           experiment::ToolStack* tools = nullptr);
 
 /// Offline preemption estimate for a decision vector: context switches away
 /// from a thread that is scheduled again later (a switch away from a thread

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <compare>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -113,6 +114,8 @@ struct Shrinker {
   /// Keys of candidates known to be rejected on `current`; cleared only
   /// when `current` is replaced.
   std::set<CandidateKey> rejected{};
+  /// Probe stacks for the final `cfg`, one per scan worker.
+  std::optional<experiment::ToolStackPool> stacks{};
 
   bool budgetLeft() const { return validations < opts.maxValidations; }
 
@@ -139,7 +142,8 @@ struct Shrinker {
     // own slot, so the winner is never run a second time.
     std::vector<Decisions> recorded(todo.size());
     auto accept = [&](std::uint64_t i) {
-      ProbeResult p = probeCandidate(program, build(todo[i]), cfg);
+      auto lease = stacks->acquire();
+      ProbeResult p = probeCandidate(program, build(todo[i]), cfg, &*lease);
       if (!(p.signature == target) || !verdict(p.recorded.decisions)) {
         return false;
       }
@@ -297,6 +301,7 @@ ShrinkResult shrinkScenario(const replay::Scenario& s,
 
   // 3./4. Alternate ddmin, preemption lowering and store-pick lowering to a
   // joint fixpoint.
+  sh.stacks.emplace([cfg = sh.cfg] { return probeStack(cfg); });
   for (;;) {
     bool improved = sh.ddmin(current);
     improved = sh.lowerPreemptions(current) || improved;
@@ -306,7 +311,8 @@ ShrinkResult shrinkScenario(const replay::Scenario& s,
 
   // 5. Exact-replay verification of the minimized witness.
   ++sh.validations;
-  ProbeResult fin = probeExact(s.program, rt::Schedule{current}, sh.cfg);
+  ProbeResult fin = probeExact(s.program, rt::Schedule{current}, sh.cfg,
+                               &*sh.stacks->acquire());
   res.verifiedExact = fin.exact && fin.signature == sh.target;
 
   res.minimized.schedule.decisions = current;

@@ -34,7 +34,8 @@
 // hands its recorded (repaired) decisions back to become the new schedule;
 // the winner is not run again.
 //
-// Candidate batches are evaluated in parallel through farm::scanCandidates;
+// Candidate batches are evaluated in parallel through farm::scanCandidates,
+// each worker on a probe stack (and runtime) it leases for the shrink;
 // because the scan always selects the smallest accepted candidate index, the
 // minimized schedule is byte-identical for any --jobs value.  So is the
 // `validations` count: it counts what the serial scan runs (every candidate

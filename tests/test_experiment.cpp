@@ -228,7 +228,8 @@ TEST(ToolStack, ReusedStackMatchesBuildPerRun) {
   spec.tool.noiseOpts.strength = 0.4;
   ToolStack reused = makeToolStack(spec.tool);
   for (std::size_t i = 0; i < spec.runs; ++i) {
-    RunObservation fresh = executeRun(spec, i);
+    ToolStack freshTools = makeToolStack(spec.tool);
+    RunObservation fresh = executeRun(spec, i, freshTools);
     RunObservation pooled = executeRun(spec, i, reused);
     EXPECT_EQ(pooled.seed, fresh.seed) << "run " << i;
     EXPECT_EQ(pooled.status, fresh.status) << "run " << i;

@@ -31,14 +31,18 @@ struct RunCapture {
   std::string outcome;
   std::string signature;
   trace::Trace trace;
+  rt::Schedule decisions;
 };
 
-RunCapture captureRun(Program& p, std::uint64_t seed,
-                      Listener* extra = nullptr) {
+// One random-policy run of `p` on `rt`, which may have run before.
+RunCapture captureOn(rt::ControlledRuntime& rt, Program& p,
+                     std::uint64_t seed, Listener* extra = nullptr) {
   p.reset();
-  rt::ControlledRuntime rt;
+  rt.setPolicy(std::make_unique<rt::RecordingPolicy>(
+      std::make_unique<rt::RandomPolicy>()));
   EventCollector col;
   trace::TraceRecorder rec(rt);
+  rt.hooks().clear();
   rt.hooks().add(&col);
   rt.hooks().add(&rec);
   if (extra != nullptr) rt.hooks().add(extra);
@@ -47,10 +51,18 @@ RunCapture captureRun(Program& p, std::uint64_t seed,
   o.programName = p.name();
   RunCapture cap;
   cap.result = rt.run([&](rt::Runtime& rr) { p.body(rr); }, o);
+  rt.hooks().clear();
   cap.outcome = p.outcome();
   cap.signature = col.signature();
   cap.trace = rec.takeTrace();
+  cap.decisions = static_cast<rt::RecordingPolicy&>(rt.policy()).schedule();
   return cap;
+}
+
+RunCapture captureRun(Program& p, std::uint64_t seed,
+                      Listener* extra = nullptr) {
+  rt::ControlledRuntime rt;
+  return captureOn(rt, p, seed, extra);
 }
 
 class AllProgramsTest : public ::testing::TestWithParam<std::string> {};
@@ -158,20 +170,26 @@ TEST_P(AllProgramsTest, P5_NoiseNeverBreaksControls) {
 }
 
 TEST_P(AllProgramsTest, P6_AbortedRunsDoNotPoisonTheNextRun) {
-  // Run a batch on one reused runtime-per-run basis; any aborted run must
-  // leave the process in a state where a subsequent clean run still works.
+  // Run a batch on one reused runtime: whatever a run leaves behind,
+  // aborted runs included, must not change the next run, so every capture
+  // equals the same run on a fresh runtime.
   auto p = makeProgram(GetParam());
-  bool sawAbort = false;
+  rt::ControlledRuntime reused;
   for (std::uint64_t s = 0; s < 8; ++s) {
-    RunCapture cap = captureRun(*p, s);
-    sawAbort = sawAbort || !cap.result.ok();
+    RunCapture again = captureOn(reused, *p, s);
+    RunCapture fresh = captureRun(*p, s);
+    EXPECT_EQ(again.result.status, fresh.result.status) << "seed " << s;
+    EXPECT_EQ(again.result.events, fresh.result.events) << "seed " << s;
+    EXPECT_EQ(again.signature, fresh.signature) << "seed " << s;
+    EXPECT_EQ(again.outcome, fresh.outcome) << "seed " << s;
+    EXPECT_EQ(again.decisions.decisions, fresh.decisions.decisions)
+        << "seed " << s;
   }
-  // And a control program still passes afterwards.
+  // And a control program still passes afterwards on the same runtime.
   auto control = makeProgram("account_sync");
-  RunCapture clean = captureRun(*control, 1);
+  RunCapture clean = captureOn(reused, *control, 1);
   EXPECT_TRUE(clean.result.ok());
   EXPECT_EQ(control->evaluate(clean.result), Verdict::Pass);
-  (void)sawAbort;
 }
 
 INSTANTIATE_TEST_SUITE_P(

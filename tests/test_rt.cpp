@@ -693,6 +693,33 @@ TEST(Controlled, ObjectRegistryNamesStable) {
       RunOptions{});
 }
 
+TEST(Runtime, ReusedRuntimeNumbersObjectsLikeAFreshOne) {
+  auto body = [](Runtime& r) {
+    Mutex m(r, "m");
+    SharedVar<int> x(r, "x", 0);
+    m.lock();
+    x.write(1);
+    m.unlock();
+  };
+  auto objectsOf = [&](Runtime& rt) {
+    EventCollector col;
+    rt.hooks().add(&col);
+    RunResult r = rt.run(body, seeded(0));
+    rt.hooks().remove(&col);
+    EXPECT_TRUE(r.ok()) << r.failureMessage;
+    std::vector<ObjectId> ids;
+    for (const Event& e : col.events()) ids.push_back(e.object);
+    return ids;
+  };
+  for (RuntimeMode mode : {RuntimeMode::Controlled, RuntimeMode::Native}) {
+    const std::vector<ObjectId> fresh = objectsOf(*makeRuntime(mode));
+    auto reused = makeRuntime(mode);
+    objectsOf(*reused);
+    EXPECT_EQ(objectsOf(*reused), fresh);
+    EXPECT_EQ(reused->objectCount(), 2u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Controlled mode: the fiber carrier.
 // ---------------------------------------------------------------------------
@@ -795,6 +822,41 @@ TEST(ControlledCarrier, AbortedRunsLeaveTheRuntimeClean) {
     ASSERT_TRUE(next.ok()) << "after run " << i << ": " << next.failureMessage;
     EXPECT_EQ(next.steps, ref.steps) << "after run " << i;
     EXPECT_EQ(next.events, ref.events) << "after run " << i;
+  }
+}
+
+TEST(ControlledCarrier, ReusedRuntimeKeepsItsStacks) {
+  // The stacks outlive the run: on one runtime, the same schedule runs
+  // each managed thread on the same stack every time.
+  ControlledRuntime rt(std::make_unique<RoundRobinPolicy>());
+  auto localsOf = [&rt] {
+    std::vector<std::uintptr_t> at(4, 0);
+    auto record = [&at](std::size_t k) {
+      volatile int local = 0;
+      at[k] = reinterpret_cast<std::uintptr_t>(&local);
+    };
+    // Threads finish in another order than they start, and d starts on a
+    // stack a finished thread left.
+    RunResult r = rt.run(
+        [&](Runtime& rr) {
+          record(0);
+          Thread a(rr, "a", [&] { record(1); });
+          Thread b(rr, "b", [&] {
+            for (int i = 0; i < 4; ++i) rr.yieldNow(site("b.yield"));
+            record(2);
+          });
+          a.join();
+          Thread d(rr, "d", [&] { record(3); });
+          d.join();
+          b.join();
+        },
+        seeded(0));
+    EXPECT_TRUE(r.ok()) << r.failureMessage;
+    return at;
+  };
+  const std::vector<std::uintptr_t> first = localsOf();
+  for (int run = 1; run < 4; ++run) {
+    EXPECT_EQ(localsOf(), first) << "run " << run;
   }
 }
 

@@ -327,11 +327,6 @@ int cmdDescribe(const Args& a) {
 
 // --- run / hunt / replay -------------------------------------------------------
 
-struct RunSetup {
-  std::unique_ptr<rt::Runtime> runtime;
-  experiment::ToolStack tools;  // owns the noise maker / analysis tools
-};
-
 RuntimeMode parseMode(const Args& a) {
   std::string m = a.get("mode", "controlled");
   if (m == "native") return RuntimeMode::Native;
@@ -412,34 +407,31 @@ int interruptedEpilogue(const farm::CampaignResult& cr,
   return kInterruptedExit;
 }
 
-RunSetup makeSetup(const Args& a, rt::SchedulePolicy* policyRef) {
+// One run of `p` on the tool stack the run flags describe.  Controlled runs
+// schedule under `policy`, or under the flags' --policy when it is null.
+rt::RunResult runWithFlags(const Args& a, suite::Program& p,
+                           const rt::RunOptions& o,
+                           std::unique_ptr<rt::SchedulePolicy> policy) {
   experiment::RunSpec spec = runSpecFromArgs(a, "random");
   experiment::validateToolConfig(spec.tool);
-  RunSetup s;
-  std::unique_ptr<rt::SchedulePolicy> policy;
-  if (policyRef != nullptr) {
-    policy = std::make_unique<rt::PolicyRef>(*policyRef);
-  } else if (spec.tool.mode == RuntimeMode::Controlled) {
+  if (policy == nullptr && spec.tool.mode == RuntimeMode::Controlled) {
     policy = experiment::makePolicy(spec.tool.policy);
   }
-  s.runtime = rt::makeRuntime(spec.tool.mode, std::move(policy));
-  s.tools = experiment::makeToolStack(spec.tool);
-  s.tools.attach(*s.runtime);
-  return s;
+  experiment::ToolStack tools = experiment::makeToolStack(spec.tool);
+  rt::Runtime& rt = tools.runtime(spec.tool.mode, std::move(policy));
+  p.reset();
+  return rt.run([&](rt::Runtime& rr) { p.body(rr); }, o);
 }
 
 int cmdRun(const Args& a) {
   if (a.positional.empty()) return usage();
   auto p = suite::makeProgram(a.positional[0]);
-  RunSetup s = makeSetup(a, nullptr);
-  p->reset();
   rt::RunOptions o = p->defaultRunOptions();
   o.seed = a.getU64("seed", 0);
   o.programName = p->name();
   o.dispatchTiming = a.has("dispatch-stats");
   if (a.has("seq-cst")) o.forceSeqCst = true;
-  rt::RunResult r =
-      s.runtime->run([&](rt::Runtime& rr) { p->body(rr); }, o);
+  rt::RunResult r = runWithFlags(a, *p, o, nullptr);
   std::printf("status:  %s\n", std::string(to_string(r.status)).c_str());
   if (!r.failureMessage.empty()) {
     std::printf("failure: %s\n", r.failureMessage.c_str());
@@ -569,42 +561,6 @@ guide::GuideOptions guideOptionsFromArgs(const Args& a,
   return go;
 }
 
-// Re-executes a guided find under a RecordingPolicy to capture its witness
-// schedule + signature (the guide's campaign runs record no schedules —
-// controlled mode makes the (arm, seed) pair reproducible on demand).
-triage::ProbeResult recordGuidedFind(const experiment::RunSpec& base,
-                                     const guide::Arm& arm,
-                                     std::uint64_t seed) {
-  auto p = suite::makeProgram(base.programName);
-  p->reset();
-  auto rec = std::make_unique<rt::RecordingPolicy>(
-      guide::makeArmPolicy(arm, base.tool.policy));
-  rt::RecordingPolicy* recPtr = rec.get();
-  rt::ControlledRuntime rtc(std::move(rec));
-  triage::SignatureCollector collector;
-  experiment::ToolStackBuilder b;
-  b.borrowed(&collector);
-  if (arm.noise != "none") {
-    noise::NoiseOptions no = base.tool.noiseOpts;
-    no.strength = arm.strength;
-    b.noise(arm.noise, no);
-  }
-  experiment::ToolStack tools = b.build();
-  tools.attach(rtc);
-  rt::RunOptions o = p->defaultRunOptions();
-  o.seed = seed;
-  o.programName = p->name();
-  rt::RunResult r = rtc.run([&](rt::Runtime& rr) { p->body(rr); }, o);
-  triage::ProbeResult out;
-  out.result = r;
-  out.recorded = recPtr->schedule();
-  out.outcome = p->outcome();
-  out.signature = triage::makeSignature(
-      r, p->evaluate(r) == suite::Verdict::BugManifested, out.outcome,
-      collector.bugSiteTags());
-  return out;
-}
-
 int cmdHuntGuided(const Args& a) {
   experiment::RunSpec base = runSpecFromArgs(a, "random");
   guide::GuideOptions go =
@@ -633,7 +589,6 @@ int cmdHuntGuided(const Args& a) {
   // Record the find as a v2 scenario, exactly as the fixed-budget hunt
   // does, so --shrink / --corpus triage applies unchanged.
   const guide::Arm& arm = g.arms[g.firstFindArm].arm;
-  triage::ProbeResult rec = recordGuidedFind(base, arm, g.firstFindSeed);
   replay::Scenario sc;
   sc.program = base.programName;
   sc.seed = g.firstFindSeed;
@@ -642,6 +597,11 @@ int cmdHuntGuided(const Args& a) {
                                    : arm.policy;
   sc.noise = arm.noise;
   sc.strength = arm.strength;
+  // The guide's campaign runs record no schedules; controlled mode makes
+  // the (arm, seed) pair reproducible, so the find is re-run recording.
+  triage::ProbeResult rec =
+      triage::recordRun(sc.program, guide::makeArmPolicy(arm, base.tool.policy),
+                        triage::toolConfigOf(sc));
   sc.schedule = rec.recorded;
   std::string outPath =
       a.get("out", sc.program + ".seed" + std::to_string(g.firstFindSeed) +
@@ -679,13 +639,12 @@ int cmdHunt(const Args& a) {
   std::string foundStatus;
   std::string foundPostmortem;
   std::uint64_t scanned = 0;
+  const farm::JobFn run = farm::experimentJob(spec);
   if (!farmRequested(a)) {
     // Serial scan: exact legacy behavior (stops at the first seed, in
     // order), no farm machinery involved.  One reused tool stack.
-    experiment::ToolStack tools = experiment::makeToolStack(spec.tool);
     for (std::uint64_t seed = 0; seed < seeds; ++seed) {
-      experiment::RunObservation obs =
-          experiment::executeRun(spec, static_cast<std::size_t>(seed), tools);
+      experiment::RunObservation obs = run(seed);
       ++scanned;
       if (obs.manifested) {
         found = seed;
@@ -700,12 +659,7 @@ int cmdHunt(const Args& a) {
     fo.stopOnRecord = [](const experiment::RunObservation& o) {
       return o.manifested || !o.postmortemPath.empty();
     };
-    farm::CampaignResult cr = farm::runJobs(
-        seeds,
-        [&spec](std::uint64_t i) {
-          return experiment::executeRun(spec, static_cast<std::size_t>(i));
-        },
-        fo);
+    farm::CampaignResult cr = farm::runJobs(seeds, run, fo);
     scanned = cr.records.size();
     for (const auto& r : cr.records) {  // sorted: smallest manifesting seed
       if (r.manifested || !r.postmortemPath.empty()) {
@@ -827,13 +781,11 @@ int cmdReplay(const Args& a) {
   if (!a.has("strength")) {
     aa.options["strength"] = wire::formatDouble(sc.strength);
   }
-  RunSetup s = makeSetup(aa, &rep);
-  p->reset();
   rt::RunOptions o = p->defaultRunOptions();
   o.seed = a.has("seed") ? a.getU64("seed", 0) : sc.seed;
   o.programName = p->name();
   rt::RunResult r =
-      s.runtime->run([&](rt::Runtime& rr) { p->body(rr); }, o);
+      runWithFlags(aa, *p, o, std::make_unique<rt::PolicyRef>(rep));
   std::printf("status:  %s%s\noutcome: %s\n",
               std::string(to_string(r.status)).c_str(),
               rep.diverged() ? " (DIVERGED)" : " (exact)",
@@ -868,7 +820,7 @@ int cmdExplore(const Args& a) {
   experiment::RunSpec spec = runSpecFromArgs(a, "random");
   experiment::validateToolConfig(spec.tool);
   experiment::ToolStack tools = experiment::makeToolStack(spec.tool);
-  if (!tools.empty()) o.tools = &tools;
+  o.tools = &tools;
   explore::ExploreResult r = explore::exploreSpec(spec, o);
   if (r.bugFound) {
     for (race::RaceDetector* det : tools.detectors()) {
@@ -1063,13 +1015,13 @@ int cmdTracegen(const Args& a) {
     b.noise(a.get("noise", "mixed"), no);
   }
   experiment::ToolStack tools = b.build();
+  rt::Runtime& rt = tools.runtime(RuntimeMode::Controlled,
+                                  std::make_unique<rt::RandomPolicy>());
   for (const auto& name : programs) {
     auto p = suite::makeProgram(name);
     for (std::uint64_t s = 0; s < seeds; ++s) {
       p->reset();
-      rt::ControlledRuntime rt;
       tools.reset();
-      tools.attach(rt);
       rt::RunOptions o = p->defaultRunOptions();
       o.seed = s;
       o.programName = name;
