@@ -26,6 +26,14 @@
 #include "core/stats.hpp"
 #include "rt/flight_recorder.hpp"
 
+#if defined(__x86_64__)
+// The register-swap fiber switch (fiber_switch_x86_64.S).
+extern "C" {
+void mtt_switch(void** saveSp, void* loadSp);
+void* mtt_fiber_make(void* top, void (*fn)(void*), void* arg);
+}
+#endif
+
 namespace mtt::rt {
 
 namespace {
@@ -953,6 +961,7 @@ void ControlledRuntime::startFiber(Tcb& t) {
     t.stack = spare_.back();
     spare_.pop_back();
   }
+#if !defined(__x86_64__)
   ::getcontext(&t.ctx);
   t.ctx.uc_stack.ss_sp = t.stack;
   t.ctx.uc_stack.ss_size = kFiberStackSize;
@@ -961,6 +970,12 @@ void ControlledRuntime::startFiber(Tcb& t) {
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
   ::makecontext(&t.ctx, reinterpret_cast<void (*)()>(&fiberEntry), 2,
                 static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+#else
+  t.sp = mtt_fiber_make(t.stack + kFiberStackSize, [](void* rt) {
+    auto* self = static_cast<ControlledRuntime*>(rt);
+    self->trampoline(*self->currentTcb());
+  }, this);
+#endif
 #if MTT_ASAN_FIBERS
   // A reused stack may still carry the redzones of frames that never
   // returned (a finished thread's last frames).
@@ -988,6 +1003,7 @@ void ControlledRuntime::switchTo(Tcb* from, Tcb* to) {
 #if MTT_TSAN_FIBERS
   __tsan_switch_to_fiber(to ? to->tsanFiber : callerTsanFiber_, 0);
 #endif
+#if !defined(__x86_64__)
   ucontext_t* const save = from ? &from->ctx : &callerCtx_;
   ucontext_t* const load = to ? &to->ctx : &callerCtx_;
 #if MTT_ASAN_FIBERS
@@ -1003,13 +1019,21 @@ void ControlledRuntime::switchTo(Tcb* from, Tcb* to) {
 #else
   ::swapcontext(save, load);
 #endif
+#else
+  mtt_switch(from ? &from->sp : &callerSp_, to ? to->sp : callerSp_);
+#if MTT_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+#endif
 }
 
+#if !defined(__x86_64__)
 void ControlledRuntime::fiberEntry(unsigned hi, unsigned lo) {
   auto* rt = reinterpret_cast<ControlledRuntime*>(static_cast<std::uintptr_t>(
       (static_cast<std::uint64_t>(hi) << 32) | lo));
   rt->trampoline(*rt->currentTcb());
 }
+#endif
 
 void ControlledRuntime::trampoline(Tcb& self) {
 #if MTT_ASAN_FIBERS

@@ -14,16 +14,23 @@
 //    each blocked thread and what it waits on.
 //  * Livelock guard: runs abort after RunOptions::maxSteps decisions.
 //
-// Carrier: every managed thread is a user-space context (ucontext) on a
-// guard-paged stack the runtime keeps across runs (mapped when a run first
-// needs one more, unmapped with the runtime), and all of them run on the
-// OS thread that called run().  A parking thread asks the scheduler for
-// the next thread and switches straight to it; the last thread to finish
-// switches back to run().  No OS thread is created and no lock or
-// condition variable is touched on the turn path.  Consequences for code
-// running in managed threads:
+// Carrier: every managed thread is a fiber on a guard-paged stack the
+// runtime keeps across runs (mapped when a run first needs one more,
+// unmapped with the runtime), and all of them run on the OS thread that
+// called run().  A parking thread asks the scheduler for the next thread
+// and switches straight to it; the last thread to finish switches back to
+// run().  On x86-64 the switch is a register swap (fiber_switch_x86_64.S)
+// that saves the callee-saved registers, MXCSR and the x87 control word
+// and makes no system call; elsewhere it is a ucontext switch.  No OS
+// thread is created and no lock or condition variable is touched on the
+// turn path.  Consequences for code running in managed threads:
 //  * std::this_thread::get_id() and thread_local storage are the caller's;
 //    per-managed-thread state must be keyed by currentThread().
+//  * The signal mask is the OS thread's, shared by every managed thread
+//    (a ucontext carried one per thread); floating-point control modes
+//    (rounding, exception masks) are per managed thread.
+//  * Shadow stacks (CET SHSTK) are unsupported: the switch keeps none, so
+//    a binary linking it is never marked shadow-stack compatible.
 //  * Each managed thread has kFiberStackSize bytes of stack; touching the
 //    guard page below it is a SIGSEGV.
 //  * C++ exception state is per OS thread, so a managed thread must not
@@ -56,7 +63,9 @@
 //    no choice point = byte-identical SC schedules).
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <memory>
@@ -198,9 +207,13 @@ class ControlledRuntime final : public Runtime {
     std::uint64_t atomicResult = 0;  ///< out-param of AtomicLoad / AtomicRmw
     NoiseRequest noise{};    ///< posted by listeners, applied at next op
     std::function<void()> body;
-    // Carrier: the saved context and its stack, taken from the pool when
+    // Carrier: the saved context and its stack, taken from the spares when
     // the thread is first switched to (null before that and once finished).
+#if !defined(__x86_64__)
     ucontext_t ctx;
+#else
+    void* sp = nullptr;  ///< stack pointer while switched out
+#endif
     char* stack = nullptr;
     void* tsanFiber = nullptr;  ///< ThreadSanitizer builds only
     // Staging area for a pending Spawn op (per-thread, so concurrent
@@ -289,7 +302,9 @@ class ControlledRuntime final : public Runtime {
   // stack goes to spare_ for the next thread this run starts.
   void switchTo(Tcb* from, Tcb* to);
   void startFiber(Tcb& t);
+#if !defined(__x86_64__)
   static void fiberEntry(unsigned hi, unsigned lo);
+#endif
   [[noreturn]] void trampoline(Tcb& self);
   [[noreturn]] void threadFinish(Tcb& self);
   [[noreturn]] void failLocked(std::string msg);
@@ -300,7 +315,11 @@ class ControlledRuntime final : public Runtime {
   /// The unfinished threads in id order: what a decision scans, so its cost
   /// does not grow with the threads a run has already finished.
   std::vector<Tcb*> live_;
+#if !defined(__x86_64__)
   ucontext_t callerCtx_;      ///< run()'s caller while a run is on
+#else
+  void* callerSp_ = nullptr;  ///< run()'s caller while a run is on
+#endif
   std::vector<char*> stacks_;  ///< every stack this runtime mapped, in order
   std::vector<char*> spare_;   ///< the stacks no thread of this run holds
   // Sanitizer bookkeeping of the caller's stack (ASan / TSan builds only).

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/atomic_file.hpp"
 #include "core/wire.hpp"
@@ -198,6 +200,9 @@ std::optional<CorpusEntry> Corpus::find(const std::string& program,
 
 VerifyOutcome Corpus::verify(const std::string& programFilter) const {
   VerifyOutcome out;
+  // One probe stack, and the runtime it keeps, per noise config: the
+  // entries share its stacks instead of each mapping its own.
+  std::map<std::pair<std::string, double>, experiment::ToolStack> stacks;
   for (const CorpusEntry& e : entries(programFilter)) {
     ++out.checked;
     std::string where = e.program + "/" + e.fingerprint;
@@ -208,7 +213,13 @@ VerifyOutcome Corpus::verify(const std::string& programFilter) const {
                                s.program + "'");
         continue;
       }
-      ProbeResult p = probeExact(e.program, s.schedule, toolConfigOf(s));
+      const ReplayToolConfig cfg = toolConfigOf(s);
+      auto stack = stacks.find({cfg.noiseName, cfg.strength});
+      if (stack == stacks.end()) {
+        stack = stacks.emplace(std::pair{cfg.noiseName, cfg.strength},
+                               probeStack(cfg)).first;
+      }
+      ProbeResult p = probeExact(e.program, s.schedule, cfg, &stack->second);
       if (!p.signature.failure()) {
         out.failures.push_back(where + ": replay no longer fails");
       } else if (p.signature.fingerprint() != e.fingerprint) {

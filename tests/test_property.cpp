@@ -14,6 +14,8 @@
 //                         threads, or corrupt the next run.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "noise/noise.hpp"
 #include "race/detectors.hpp"
 #include "rt/harness.hpp"
@@ -25,6 +27,15 @@ namespace mtt::suite {
 namespace {
 
 using testutil::EventCollector;
+
+// wall_stall real-sleeps MTT_STALL_MS (default 2 s) in every run where it
+// manifests; the properties need its failing runs, not the stall.  A value
+// already in the environment is kept.
+class NoWallStall : public ::testing::Environment {
+  void SetUp() override { ::setenv("MTT_STALL_MS", "0", /*overwrite=*/0); }
+};
+[[maybe_unused]] ::testing::Environment* const kNoWallStall =
+    ::testing::AddGlobalTestEnvironment(new NoWallStall);
 
 struct RunCapture {
   rt::RunResult result;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <unwind.h>
 
+#include <cfenv>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -858,6 +860,93 @@ TEST(ControlledCarrier, ReusedRuntimeKeepsItsStacks) {
   for (int run = 1; run < 4; ++run) {
     EXPECT_EQ(localsOf(), first) << "run " << run;
   }
+}
+
+// 1/3 in SSE arithmetic, so it rounds by MXCSR (fegetround reads the x87
+// control word).
+double oneThird() {
+  volatile double one = 1.0, three = 3.0;
+  return one / three;
+}
+
+TEST(ControlledCarrier, FloatingPointControlStaysWithItsThread) {
+  // The rounding mode is part of a managed thread's context: a thread that
+  // changes it keeps it across switches, and no other thread sees it.
+  const double nearestThird = oneThird();
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    int upward = 0, nearest = 0, wrong = 0;
+    RunResult r = runOnce(
+        RuntimeMode::Controlled,
+        [&](Runtime& rt) {
+          // Both threads have started before the mode changes.
+          Barrier started(rt, "started", 2);
+          Thread up(rt, "up", [&] {
+            started.arriveAndWait();
+            std::fesetround(FE_UPWARD);
+            for (int i = 0; i < 4; ++i) {
+              rt.yieldNow(site("up.yield"));
+              const bool ok = std::fegetround() == FE_UPWARD &&
+                              oneThird() > nearestThird;
+              ++(ok ? upward : wrong);
+            }
+          });
+          Thread near(rt, "near", [&] {
+            started.arriveAndWait();
+            for (int i = 0; i < 4; ++i) {
+              rt.yieldNow(site("near.yield"));
+              const bool ok = std::fegetround() == FE_TONEAREST &&
+                              oneThird() == nearestThird;
+              ++(ok ? nearest : wrong);
+            }
+          });
+          up.join();
+          near.join();
+          ++(std::fegetround() == FE_TONEAREST ? nearest : wrong);
+        },
+        seeded(seed));
+    ASSERT_TRUE(r.ok()) << r.failureMessage;
+    EXPECT_EQ(upward, 4) << "seed " << seed;
+    EXPECT_EQ(nearest, 5) << "seed " << seed;
+    EXPECT_EQ(wrong, 0) << "seed " << seed;
+  }
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);  // run()'s caller keeps its own
+}
+
+#if defined(__x86_64__)
+extern "C" void mtt_fiber_entry();  // the bottom frame of every fiber
+#endif
+
+TEST(ControlledCarrier, BacktraceFromAManagedThreadEndsAtItsEntry) {
+  struct Walk {
+    int frames = 0;
+    void* lastIp = nullptr;
+  } walk;
+  _Unwind_Reason_Code end = _URC_NO_REASON;
+  RunResult r = runOnce(RuntimeMode::Controlled, [&](Runtime& rt) {
+    Thread t(rt, "t", [&] {
+      rt.yieldNow(site("t.yield"));  // resumed by a switch
+      end = _Unwind_Backtrace(
+          [](_Unwind_Context* ctx, void* arg) {
+            // libgcc ends the walk with one frame of IP 0: the undefined
+            // return address of the bottom frame.
+            auto* w = static_cast<Walk*>(arg);
+            if (const _Unwind_Ptr ip = _Unwind_GetIP(ctx); ip != 0) {
+              w->lastIp = reinterpret_cast<void*>(ip);
+            }
+            return ++w->frames < 256 ? _URC_NO_REASON : _URC_NORMAL_STOP;
+          },
+          &walk);
+    });
+    t.join();
+  });
+  ASSERT_TRUE(r.ok()) << r.failureMessage;
+  EXPECT_EQ(end, _URC_END_OF_STACK);
+  EXPECT_GT(walk.frames, 2);
+  EXPECT_LT(walk.frames, 64);
+#if defined(__x86_64__)
+  EXPECT_EQ(_Unwind_FindEnclosingFunction(walk.lastIp),
+            reinterpret_cast<void*>(&mtt_fiber_entry));
+#endif
 }
 
 TEST(ControlledCarrier, NonStandardExceptionBecomesFailure) {
