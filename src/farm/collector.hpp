@@ -55,14 +55,16 @@ class Collector {
   /// Records one finished run: stores it, streams the JSONL line, updates
   /// the progress display, and evaluates the early-stop predicate.
   ///
+  /// Returns true when this record latched the stop.
+  ///
   /// A journal write failure (disk full, short write — real or injected)
   /// latches ioError() and requests a stop instead of propagating: worker
   /// threads must not die on an exception, and the record is deliberately
   /// NOT stored, so a resumed campaign re-runs it — the journal never
   /// claims a run it did not durably record.
-  void deliver(experiment::RunObservation obs, std::size_t worker) {
+  bool deliver(experiment::RunObservation obs, std::size_t worker) {
     std::lock_guard<std::mutex> lk(mu_);
-    if (ioErrored_) return;  // journal is unreliable; drop further records
+    if (ioErrored_) return false;  // journal is unreliable; drop records
     if (options_.scrubTiming) scrubTimingFields(obs);
     try {
       journal_.append(obs);
@@ -73,7 +75,7 @@ class Collector {
                  "campaign is resumable)";
       std::fprintf(stderr, "\n[farm] %s\n", ioError_.c_str());
       stop_.store(true, std::memory_order_relaxed);
-      return;
+      return true;
     }
     if (obs.status == "timeout") ++timeouts_;
     if (obs.status == "crashed") ++crashes_;
@@ -88,11 +90,13 @@ class Collector {
       std::fflush(jsonl_);
     }
     records_.push_back(std::move(obs));
+    maybeProgressLocked(false);
     if (options_.stopOnRecord && !stop_.load(std::memory_order_relaxed) &&
         options_.stopOnRecord(records_.back())) {
       stop_.store(true, std::memory_order_relaxed);
+      return true;
     }
-    maybeProgressLocked(false);
+    return false;
   }
 
   /// Non-empty after a journal I/O failure latched the stop.
@@ -106,7 +110,6 @@ class Collector {
            (options_.stopFlag != nullptr &&
             options_.stopFlag->load(std::memory_order_relaxed));
   }
-  void requestStop() { stop_.store(true, std::memory_order_relaxed); }
 
   /// True when run `index` was already delivered by a resumed journal and
   /// must not be dispatched again.

@@ -1,13 +1,13 @@
-// mtt::farm — thread-pool worker model, work-stealing dispatch, per-run
-// watchdog, retry-with-backoff, and the deterministic campaign merge.
-// The forked-process worker model is a local fleet (fleet/local.hpp).
+// mtt::farm — the campaign's worker set (in-order dispatch, one watchdog,
+// retry-with-backoff) and the deterministic campaign merge.  The
+// forked-process worker model is a local fleet (fleet/local.hpp).
 #include "farm/farm.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
-#include <future>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -20,192 +20,6 @@ namespace mtt::farm {
 
 namespace detail {
 namespace {
-
-// One worker's share of the seed space.  Owners pop from the front (so
-// dispatch order tracks run order); thieves steal from the back (so a
-// steal grabs the work farthest from the victim's current position).
-struct Shard {
-  std::mutex mu;
-  std::deque<std::uint64_t> q;
-};
-
-std::optional<std::uint64_t> popOwn(Shard& s) {
-  std::lock_guard<std::mutex> lk(s.mu);
-  if (s.q.empty()) return std::nullopt;
-  std::uint64_t idx = s.q.front();
-  s.q.pop_front();
-  return idx;
-}
-
-std::optional<std::uint64_t> steal(std::vector<Shard>& shards,
-                                   std::size_t self) {
-  // Victim choice: the richest shard, so repeated steals spread evenly.
-  std::size_t victim = shards.size();
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (i == self) continue;
-    std::lock_guard<std::mutex> lk(shards[i].mu);
-    if (shards[i].q.size() > best) {
-      best = shards[i].q.size();
-      victim = i;
-    }
-  }
-  if (victim == shards.size()) return std::nullopt;
-  std::lock_guard<std::mutex> lk(shards[victim].mu);
-  if (shards[victim].q.empty()) return std::nullopt;
-  std::uint64_t idx = shards[victim].q.back();
-  shards[victim].q.pop_back();
-  return idx;
-}
-
-void drainAll(std::vector<Shard>& shards) {
-  for (auto& s : shards) {
-    std::lock_guard<std::mutex> lk(s.mu);
-    s.q.clear();
-  }
-}
-
-/// A run abandoned to its host thread by the watchdog; joined with a grace
-/// period at campaign end so normal stragglers finish cleanly.
-struct Abandoned {
-  std::thread host;
-  std::future<experiment::RunObservation> result;
-};
-
-class ThreadPool {
- public:
-  ThreadPool(std::uint64_t total, const JobFn& fn, const FarmOptions& options,
-             Collector& collector)
-      : fn_(fn), options_(options), collector_(collector) {
-    std::size_t workers = resolveJobs(options.jobs);
-    if (total < workers) workers = static_cast<std::size_t>(total);
-    if (workers == 0) workers = 1;
-    workers_ = workers;
-    shards_ = std::vector<Shard>(workers);
-    // Contiguous blocks: worker w starts at its own slice of the seed
-    // space, so with no stealing the dispatch order is exactly run order.
-    // Runs already delivered by a resumed journal are never re-dispatched.
-    for (std::uint64_t i = 0; i < total; ++i) {
-      if (collector.isDone(i)) continue;
-      shards_[static_cast<std::size_t>(i * workers / total)].q.push_back(i);
-    }
-  }
-
-  void run() {
-    std::vector<std::thread> pool;
-    pool.reserve(workers_);
-    for (std::size_t w = 0; w < workers_; ++w) {
-      pool.emplace_back([this, w] { workerLoop(w); });
-    }
-    for (auto& t : pool) t.join();
-    reapAbandoned();
-  }
-
- private:
-  void workerLoop(std::size_t self) {
-    for (;;) {
-      if (collector_.stopped()) {
-        drainAll(shards_);
-        return;
-      }
-      std::optional<std::uint64_t> idx = popOwn(shards_[self]);
-      if (!idx) idx = steal(shards_, self);
-      if (!idx) return;
-      collector_.deliver(executeWithRetry(*idx, self), self);
-    }
-  }
-
-  experiment::RunObservation executeWithRetry(std::uint64_t idx,
-                                              std::size_t self) {
-    std::string lastError;
-    for (std::uint32_t attempt = 1;; ++attempt) {
-      try {
-        experiment::RunObservation obs = executeSupervised(idx);
-        obs.attempts = attempt;
-        return obs;
-      } catch (const Deadline&) {
-        // A watchdog expiry is a run outcome, not an infra failure: the
-        // program (or the tool stack) hung; retrying would hang again.
-        return collector_.supervisedRecord(idx, "timeout",
-                                           "watchdog expired", attempt);
-      } catch (const std::exception& e) {
-        lastError = e.what();
-      } catch (...) {
-        lastError = "unknown harness error";
-      }
-      if (attempt > options_.maxRetries) {
-        return collector_.supervisedRecord(idx, "infra-error", lastError,
-                                           attempt);
-      }
-      std::this_thread::sleep_for(
-          core::backoffDelay(retryPolicy(options_.retryBackoff), attempt));
-      (void)self;
-    }
-  }
-
-  struct Deadline {};
-
-  experiment::RunObservation executeSupervised(std::uint64_t idx) {
-    if (options_.runTimeout.count() <= 0) return fn_(idx);
-    // Host the run on its own thread so the watchdog can abandon it: the
-    // worker stays available, the hung run keeps its thread until it
-    // finishes on its own (the runtimes' step limits and block timeouts
-    // make runaway runs finite in practice).
-    std::packaged_task<experiment::RunObservation()> task(
-        [this, idx] { return fn_(idx); });
-    std::future<experiment::RunObservation> result = task.get_future();
-    std::thread host(std::move(task));
-    if (result.wait_for(options_.runTimeout) ==
-        std::future_status::ready) {
-      host.join();
-      return result.get();  // rethrows job exceptions for the retry loop
-    }
-    {
-      std::lock_guard<std::mutex> lk(abandonedMu_);
-      abandoned_.push_back(Abandoned{std::move(host), std::move(result)});
-    }
-    throw Deadline{};
-  }
-
-  void reapAbandoned() {
-    std::lock_guard<std::mutex> lk(abandonedMu_);
-    auto grace = std::max<std::chrono::milliseconds>(
-        options_.runTimeout * 4, std::chrono::milliseconds(500));
-    for (auto& a : abandoned_) {
-      if (a.result.wait_for(grace) == std::future_status::ready) {
-        a.host.join();
-      } else {
-        a.host.detach();  // truly hung; leak the thread, keep the campaign
-      }
-    }
-    abandoned_.clear();
-  }
-
-  const JobFn& fn_;
-  const FarmOptions& options_;
-  Collector& collector_;
-  std::size_t workers_ = 0;
-  std::vector<Shard> shards_;
-  std::mutex abandonedMu_;
-  std::vector<Abandoned> abandoned_;
-};
-
-CampaignResult runJobsThreads(std::uint64_t total, const JobFn& fn,
-                              const FarmOptions& options) {
-  Stopwatch clock;
-  Collector collector(total, options);
-  if (total > 0) {
-    ThreadPool pool(total, fn, options, collector);
-    pool.run();
-  }
-  CampaignResult cr = collector.finish();
-  cr.requested = total;
-  cr.model = WorkerModel::Thread;
-  cr.workers = std::min<std::size_t>(resolveJobs(options.jobs),
-                                     std::max<std::uint64_t>(total, 1));
-  cr.wallSeconds = clock.elapsedSeconds();
-  return cr;
-}
 
 /// WorkerModel::Process: a local fleet whose forked workers run `fn`.
 CampaignResult runJobsIsolated(std::uint64_t total, const JobFn& fn,
@@ -276,58 +90,284 @@ ExperimentCampaign foldExperiment(const experiment::ExperimentSpec& spec,
 
 }  // namespace detail
 
-CandidateScan scanCandidates(std::uint64_t total,
-                             const std::function<bool(std::uint64_t)>& accept,
-                             std::size_t jobs) {
-  CandidateScan scan;
-  auto tryIndex = [&accept](std::uint64_t i) {
-    try {
-      return accept(i);
-    } catch (...) {
-      return false;  // a throwing candidate is a rejected candidate
+/// Shared with every thread it starts, so a detached abandoned thread
+/// still finds its state.  All helper fields are guarded by mu.
+struct Workers::Impl : std::enable_shared_from_this<Impl> {
+  using Clock = std::chrono::steady_clock;
+
+  /// One call's indices: 0..total-1 in order from one counter, and never
+  /// one above the smallest latched index (each one below it was taken).
+  struct Cursor {
+    const std::uint64_t total;
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<std::uint64_t> latched{total};
+
+    std::optional<std::uint64_t> take() {
+      const std::uint64_t i = next.fetch_add(1);
+      if (i >= total || i > latched.load()) return std::nullopt;
+      return i;
+    }
+    void latch(std::uint64_t i) {
+      std::uint64_t cur = latched.load();
+      while (i < cur && !latched.compare_exchange_weak(cur, i)) {
+      }
     }
   };
-  if (jobs <= 1 || total <= 1) {
-    for (std::uint64_t i = 0; i < total; ++i) {
-      ++scan.evaluated;
-      if (tryIndex(i)) {
-        scan.found = true;
-        scan.index = i;
-        return scan;
-      }
+
+  struct Helper {
+    std::thread thread;
+    bool go = false;       ///< takes part in the current call
+    bool running = false;  ///< an attempt is under the watchdog
+    bool abandoned = false;
+    std::size_t worker = 0;
+    std::uint64_t index = 0;
+    std::uint32_t attempt = 0;
+    Clock::time_point deadline{};
+  };
+  /// A call's loop; the calling thread runs it with a null helper.  It
+  /// returns false when its helper was abandoned, and then touches nothing
+  /// of its call after the abandoned run returns.
+  using Body = std::function<bool(Helper* self)>;
+
+  /// Waits, on every path out of a call, until its helpers have left it.
+  struct Posted {
+    explicit Posted(Impl& w) : workers(w) {}
+    Posted(const Posted&) = delete;
+    Posted& operator=(const Posted&) = delete;
+    ~Posted() {
+      std::unique_lock<std::mutex> lk(workers.mu);
+      workers.event.wait(lk, [this] { return workers.inCall == 0; });
     }
-    return scan;
+    Impl& workers;
+  };
+
+  explicit Impl(std::size_t j) : jobs(resolveJobs(j)) {}
+
+  /// Workers a call over `total` indices can use.
+  std::size_t width(std::uint64_t total) const {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(jobs, std::max<std::uint64_t>(total, 1)));
   }
-  std::atomic<std::uint64_t> next{0};
-  std::atomic<std::uint64_t> best{total};
-  std::atomic<std::uint64_t> evaluated{0};
-  std::size_t workers = std::min<std::size_t>(resolveJobs(jobs),
-                                              static_cast<std::size_t>(total));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        std::uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
-        // Skipping is only safe past an already-accepted smaller index:
-        // every index below the final minimum is always evaluated.
-        if (i >= total || i >= best.load(std::memory_order_acquire)) return;
-        evaluated.fetch_add(1, std::memory_order_relaxed);
-        if (tryIndex(i)) {
-          std::uint64_t cur = best.load(std::memory_order_acquire);
-          while (i < cur &&
-                 !best.compare_exchange_weak(cur, i,
-                                             std::memory_order_acq_rel)) {
-          }
+
+  const std::size_t jobs;
+  std::mutex mu;
+  std::condition_variable wake;   ///< to helpers: go or quit
+  std::condition_variable event;  ///< to the caller: left, armed, returned
+  std::vector<std::unique_ptr<Helper>> helpers;
+  std::vector<std::unique_ptr<Helper>> abandoned;
+  const Body* body = nullptr;
+  std::size_t inCall = 0;  ///< helpers still in the current call
+  bool quit = false;
+  std::chrono::milliseconds grace{0};
+
+  /// Starts a helper as `worker`; called with mu held.
+  std::unique_ptr<Helper> spawn(std::size_t worker, bool go) {
+    auto h = std::make_unique<Helper>();
+    h->worker = worker;
+    h->go = go;
+    h->thread = std::thread(
+        [self = shared_from_this(), h = h.get()] { self->helperMain(*h); });
+    return h;
+  }
+
+  void helperMain(Helper& h) {
+    std::unique_lock<std::mutex> lk(mu);
+    for (;;) {
+      wake.wait(lk, [&] { return h.go || quit; });
+      if (!h.go) return;
+      const Body& b = *body;
+      lk.unlock();
+      if (!b(&h)) return;
+      lk.lock();
+      h.go = false;
+      if (--inCall == 0) event.notify_all();
+    }
+  }
+
+  /// Posts `b` to the first n helpers, as workers first, first+1, ...
+  [[nodiscard]] Posted post(std::size_t n, std::size_t first, const Body& b) {
+    std::lock_guard<std::mutex> lk(mu);
+    while (helpers.size() < n) helpers.push_back(spawn(0, false));
+    body = &b;
+    inCall = n;
+    for (std::size_t k = 0; k < n; ++k) {
+      helpers[k]->go = true;
+      helpers[k]->worker = first + k;
+    }
+    if (n > 0) wake.notify_all();
+    return Posted(*this);
+  }
+
+  /// Runs index `idx` with retries.  nullopt when the watchdog abandoned
+  /// `watched` meanwhile: it delivered the run's timeout, and the call may
+  /// be over, so nothing of it is touched again.
+  std::optional<experiment::RunObservation> execute(
+      const JobFn& fn, const FarmOptions& options,
+      detail::Collector& collector, Helper* watched, std::uint64_t idx) {
+    std::string error;
+    for (std::uint32_t attempt = 1;; ++attempt) {
+      if (watched != nullptr) {
+        std::lock_guard<std::mutex> lk(mu);
+        watched->index = idx;
+        watched->attempt = attempt;
+        watched->deadline = Clock::now() + options.runTimeout;
+        watched->running = true;
+        event.notify_all();
+      }
+      std::optional<experiment::RunObservation> obs;
+      try {
+        obs = fn(idx);
+      } catch (const std::exception& e) {
+        error = e.what();
+      } catch (...) {
+        error = "unknown harness error";
+      }
+      if (watched != nullptr) {
+        std::lock_guard<std::mutex> lk(mu);
+        watched->running = false;
+        if (watched->abandoned) {
+          event.notify_all();  // to a destructor waiting out its grace
+          return std::nullopt;
         }
       }
-    });
+      if (obs) {
+        obs->attempts = attempt;
+        return obs;
+      }
+      if (attempt > options.maxRetries) {
+        return collector.supervisedRecord(idx, "infra-error", error, attempt);
+      }
+      std::this_thread::sleep_for(core::backoffDelay(
+          detail::retryPolicy(options.retryBackoff), attempt));
+    }
   }
-  for (auto& t : pool) t.join();
+
+  /// The caller's part of a watched run call: until every helper has left
+  /// the call, it sleeps to the earliest deadline in flight, delivers each
+  /// run past its deadline as a timeout, abandons that run's helper and
+  /// starts one replacement.
+  void watch(detail::Collector& collector, Cursor& cursor) {
+    std::unique_lock<std::mutex> lk(mu);
+    while (inCall > 0) {
+      Clock::time_point next = Clock::time_point::max();
+      const std::size_t expired = abandoned.size();
+      for (std::unique_ptr<Helper>& h : helpers) {
+        if (!h->go || !h->running) continue;
+        if (h->deadline > Clock::now()) {
+          next = std::min(next, h->deadline);
+          continue;
+        }
+        h->abandoned = true;
+        abandoned.push_back(std::exchange(h, spawn(h->worker, true)));
+      }
+      if (expired == abandoned.size()) {
+        if (next == Clock::time_point::max()) event.wait(lk);
+        else event.wait_until(lk, next);
+        continue;
+      }
+      // Only this thread grows `abandoned`, and an abandoned helper's
+      // index, attempt and worker no longer change.
+      lk.unlock();
+      for (std::size_t k = expired; k < abandoned.size(); ++k) {
+        const Helper& h = *abandoned[k];
+        // A watchdog expiry is a run outcome, not an infra failure: the
+        // program (or the tool stack) hung; retrying would hang again.
+        if (collector.deliver(collector.supervisedRecord(
+                                  h.index, "timeout", "watchdog expired",
+                                  h.attempt),
+                              h.worker)) {
+          cursor.latch(h.index);
+        }
+      }
+      lk.lock();
+    }
+  }
+};
+
+Workers::Workers(std::size_t jobs) : impl_(std::make_shared<Impl>(jobs)) {}
+
+Workers::~Workers() {
+  Impl& w = *impl_;
+  std::unique_lock<std::mutex> lk(w.mu);
+  w.quit = true;
+  w.wake.notify_all();
+  std::vector<std::unique_ptr<Impl::Helper>> parked = std::move(w.helpers);
+  lk.unlock();
+  for (const auto& h : parked) h->thread.join();
+  lk.lock();
+  for (const auto& h : w.abandoned) {
+    // Once its run has returned, an abandoned helper ends without mu.
+    if (w.event.wait_for(lk, w.grace, [&] { return !h->running; })) {
+      h->thread.join();
+    } else {
+      h->thread.detach();  // truly hung; leak the thread, keep the campaign
+    }
+  }
+}
+
+CampaignResult Workers::run(std::uint64_t total, const JobFn& fn,
+                            const FarmOptions& options) {
+  Stopwatch clock;
+  Impl& w = *impl_;
+  detail::Collector collector(total, options);
+  Impl::Cursor cursor{total};
+  const bool watched = options.runTimeout.count() > 0;
+  const Impl::Body loop = [&](Impl::Helper* self) {
+    const std::size_t worker = self != nullptr ? self->worker : 0;
+    while (!collector.stopped()) {
+      const std::optional<std::uint64_t> i = cursor.take();
+      if (!i) break;
+      if (collector.isDone(*i)) continue;  // delivered by a resumed journal
+      std::optional<experiment::RunObservation> obs =
+          w.execute(fn, options, collector, watched ? self : nullptr, *i);
+      if (!obs) return false;
+      if (collector.deliver(std::move(*obs), worker)) cursor.latch(*i);
+    }
+    return true;
+  };
+  const std::size_t width = w.width(total);
+  if (watched) {
+    w.grace = std::max({w.grace, options.runTimeout * 4,
+                        std::chrono::milliseconds(500)});
+    const Impl::Posted posted = w.post(width, 0, loop);
+    w.watch(collector, cursor);
+  } else {
+    const Impl::Posted posted = w.post(width - 1, 1, loop);
+    loop(nullptr);
+  }
+  CampaignResult cr = collector.finish();
+  cr.requested = total;
+  cr.model = WorkerModel::Thread;
+  cr.workers = width;
+  cr.wallSeconds = clock.elapsedSeconds();
+  return cr;
+}
+
+CandidateScan Workers::scan(
+    std::uint64_t total, const std::function<bool(std::uint64_t)>& accept) {
+  Impl::Cursor cursor{total};
+  std::atomic<std::uint64_t> evaluated{0};
+  const Impl::Body loop = [&](Impl::Helper*) {
+    while (const std::optional<std::uint64_t> i = cursor.take()) {
+      ++evaluated;
+      bool accepted = false;
+      try {
+        accepted = accept(*i);
+      } catch (...) {
+        // a throwing candidate is a rejected candidate
+      }
+      if (accepted) cursor.latch(*i);
+    }
+    return true;
+  };
+  {
+    const Impl::Posted posted = impl_->post(impl_->width(total) - 1, 1, loop);
+    loop(nullptr);
+  }
+  CandidateScan scan;
   scan.evaluated = evaluated.load();
-  std::uint64_t b = best.load();
-  scan.found = b < total;
-  scan.index = scan.found ? b : 0;
+  scan.found = cursor.latched.load() < total;
+  scan.index = scan.found ? cursor.latched.load() : 0;
   return scan;
 }
 
@@ -337,7 +377,7 @@ CampaignResult runJobs(std::uint64_t total, const JobFn& fn,
       detail::processIsolationSupported()) {
     return detail::runJobsIsolated(total, fn, options);
   }
-  return detail::runJobsThreads(total, fn, options);
+  return Workers(options.jobs).run(total, fn, options);
 }
 
 JobFn experimentJob(const experiment::RunSpec& spec) {

@@ -2,13 +2,13 @@
 //
 // The paper's component 2 promises that a prepared experiment "can be
 // evaluated and compared to alternative approaches" with a script; this
-// subsystem makes that scale: a work-stealing scheduler shards a campaign's
-// seed space across a pool of worker threads (or, on POSIX, a local fleet
-// of forked worker processes for hard crash isolation — fleet/local.hpp),
-// supervises every run with a wall-clock watchdog, retries infrastructure
-// failures with bounded backoff, and records misbehaving runs (timeout /
-// crash / infra-error) as RunStatus outcomes instead of letting them abort
-// the campaign.
+// subsystem makes that scale: a campaign's worker set (farm::Workers) hands
+// the seed space out in run order to a few long-lived worker threads (or,
+// on POSIX, to a local fleet of forked worker processes for hard crash
+// isolation — fleet/local.hpp), supervises every run with one wall-clock
+// watchdog, retries infrastructure failures with bounded backoff, and
+// records misbehaving runs (timeout / crash / infra-error) as RunStatus
+// outcomes instead of letting them abort the campaign.
 //
 // Observability: each completed run is streamed as one JSONL record
 // (seed, status, wall time, events, warnings, outcome, attempts) the moment
@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,9 +36,9 @@ namespace mtt::farm {
 
 /// How runs are isolated from each other.
 enum class WorkerModel : std::uint8_t {
-  /// Worker threads in this process.  Cheapest; a hung run is abandoned to
-  /// a watchdogged host thread, but a run that crashes the process takes
-  /// the campaign with it.
+  /// Worker threads in this process (farm::Workers).  Cheapest; a hung
+  /// run's thread is abandoned to the watchdog, but a run that crashes the
+  /// process takes the campaign with it.
   Thread,
   /// Forked worker processes (POSIX), supervised by a fleet coordinator
   /// over socket pairs.  A run that aborts, segfaults, or hangs kills only
@@ -75,9 +76,9 @@ struct FarmOptions {
   /// Live "done/total, runs/s, timeouts, crashes" line on stderr.
   bool progress = false;
   /// Optional early cancellation: once a delivered record satisfies this,
-  /// no further runs are dispatched (in-flight runs drain under Thread and
+  /// no index above it is dispatched (in-flight runs drain under Thread and
   /// are abandoned under Process).  Used by parallel bug hunts to stop at
-  /// the first manifestation.
+  /// the first manifestation, which is the serial scan's.
   std::function<bool(const experiment::RunObservation&)> stopOnRecord;
   /// Maps a run index to its seed, for records the farm must synthesize
   /// itself (timeout / crash / infra-error, where the job produced
@@ -178,34 +179,55 @@ struct ExperimentCampaign {
   CampaignResult campaign;
 };
 
-/// Farm-parallel drop-in for experiment::runExperiment: shards spec.runs
-/// across the pool and folds the records in run order, so controlled-mode
+/// Farm-parallel drop-in for experiment::runExperiment: runs spec.runs on
+/// the farm and folds the records in run order, so controlled-mode
 /// results (and timing-free reports) are identical to the serial path for
 /// any worker count or isolation model.
 ExperimentCampaign runExperimentFarm(const experiment::ExperimentSpec& spec,
                                      const FarmOptions& options);
 
-// --- generic candidate evaluation ----------------------------------------
+// --- the worker set ---------------------------------------------------------
 
-/// Outcome of a scanCandidates call.
+/// Outcome of a Workers::scan call.
 struct CandidateScan {
   bool found = false;
   std::uint64_t index = 0;      ///< smallest accepted index (when found)
   std::uint64_t evaluated = 0;  ///< predicate invocations actually performed
 };
 
-/// Deterministic first-accepted-candidate selection: evaluates candidates
-/// 0..total-1 with `accept` (which must be a pure, thread-safe function of
-/// its index) on `jobs` workers and returns the SMALLEST accepted index.
-/// Workers race ahead, but an index is only skipped when a smaller index has
-/// already been accepted, so the result is identical for any worker count —
-/// this is what makes farm-parallel schedule minimization byte-stable.
-/// `evaluated` is exact and minimal for jobs<=1 (serial early-stop order);
-/// with more workers speculative evaluations may raise it.  A predicate
-/// that throws counts as a rejection.
-CandidateScan scanCandidates(std::uint64_t total,
-                             const std::function<bool(std::uint64_t)>& accept,
-                             std::size_t jobs);
+/// A campaign's worker threads, kept for all its calls (one at a time): at
+/// most jobs-1 (0 = hardware concurrency), started lazily, parked between
+/// calls.  A call hands out indices 0..total-1 in order from one counter,
+/// with the calling thread as worker 0, and never one above the smallest
+/// index a stop or an accept has latched.  A thread the watchdog abandoned
+/// gets max(4 x runTimeout, 500 ms) at destruction, then is detached.
+class Workers {
+ public:
+  explicit Workers(std::size_t jobs);
+  ~Workers();
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
+
+  /// The Thread-model campaign under `options` (its jobs and model are not
+  /// read).  With a runTimeout the caller runs nothing and is the one
+  /// watchdog over jobs threads: a run past its deadline is delivered as a
+  /// timeout and its thread, which drops its result, is replaced.
+  CampaignResult run(std::uint64_t total, const JobFn& fn,
+                     const FarmOptions& options);
+
+  /// Deterministic first-accepted-candidate selection: evaluates candidates
+  /// 0..total-1 with `accept` (a pure, thread-safe function of its index)
+  /// and returns the SMALLEST accepted index, identical for any worker
+  /// count — this makes farm-parallel schedule minimization byte-stable.
+  /// `evaluated` is exact and minimal at one worker; more workers may run
+  /// past the winner.  A predicate that throws counts as a rejection.
+  CandidateScan scan(std::uint64_t total,
+                     const std::function<bool(std::uint64_t)>& accept);
+
+ private:
+  struct Impl;
+  std::shared_ptr<Impl> impl_;
+};
 
 // Record serialization (toJson / encodePipeRecord / decodePipeRecord and
 // the field-escaping helpers) lives in farm/record_io.hpp, shared with the

@@ -638,13 +638,14 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
     throw std::runtime_error("guide: a lease names no arm of this campaign");
   };
 
-  // The in-process BatchRunner: the farm's thread pool, or under
+  // The in-process BatchRunner: one farm worker set, or under
   // WorkerModel::Process one local fleet of forked workers, created at the
-  // first batch that executes a run and serving every later batch.  Each
+  // first batch that executes a run; either serves every batch.  Each
   // batch is a farm campaign over batch-local indices (progress and stop
   // rules as the farm has them); only the guide journals and streams JSONL.
   const bool isolated = opts.farm.model == farm::WorkerModel::Process &&
                         farm::detail::processIsolationSupported();
+  farm::Workers workers(opts.farm.jobs);
   std::unique_ptr<fleet::LocalFleet> localFleet;
   BatchRunner inProcess = [&](const std::vector<GuideBatchRun>& batch) {
     farm::FarmOptions inner = opts.farm;
@@ -679,7 +680,7 @@ GuideResult runGuided(const experiment::RunSpec& baseIn,
                                         wirePolicy(arms[r.armIndex])};
           });
     } else {
-      cr = farm::runJobs(
+      cr = workers.run(
           batch.size(),
           [&](std::uint64_t local) {
             const GuideBatchRun& r = batch[static_cast<std::size_t>(local)];

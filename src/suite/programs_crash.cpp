@@ -9,6 +9,7 @@
 // deterministic — the schedule that kills a worker is the same schedule
 // that fails softly during triage.
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <thread>
 
@@ -63,12 +64,12 @@ class CrashDeref final : public Program {
       if (ready == 0) {
         crashed_ = true;
         if (std::getenv("MTT_CRASH_DEREF_HARD") != nullptr) {
-          // Real consequence: the unpublished pointer is dereferenced.  A
-          // guaranteed-null write models it (ptr itself may already point
-          // at payload when the producer is blocked at the publish site,
-          // since the scheduling point precedes the write effect).
-          volatile int* p = nullptr;
-          *p = 1;  // SIGSEGV
+          // Real consequence: the unpublished pointer is dereferenced (ptr
+          // itself may already point at payload when the producer is
+          // blocked at the publish site, since the scheduling point precedes
+          // the write effect).  Its SIGSEGV is raised without a null store,
+          // whose undefined behaviour a UBSan build may exit on first.
+          std::raise(SIGSEGV);
         }
         rt.fail("null dereference: consumer ran before producer published "
                 "(would segfault)");

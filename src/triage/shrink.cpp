@@ -116,6 +116,8 @@ struct Shrinker {
   std::set<CandidateKey> rejected{};
   /// Probe stacks for the final `cfg`, one per scan worker.
   std::optional<experiment::ToolStackPool> stacks{};
+  /// The scan workers, kept for the whole shrink.
+  farm::Workers workers{opts.jobs};
 
   bool budgetLeft() const { return validations < opts.maxValidations; }
 
@@ -150,8 +152,7 @@ struct Shrinker {
       recorded[i] = std::move(p.recorded.decisions);
       return true;
     };
-    const farm::CandidateScan scan =
-        farm::scanCandidates(todo.size(), accept, opts.jobs);
+    const farm::CandidateScan scan = workers.scan(todo.size(), accept);
     const std::uint64_t serial = scan.found ? scan.index + 1 : todo.size();
     validations += serial;
     speculative += scan.evaluated - serial;

@@ -34,14 +34,14 @@
 // hands its recorded (repaired) decisions back to become the new schedule;
 // the winner is not run again.
 //
-// Candidate batches are evaluated in parallel through farm::scanCandidates,
-// each worker on a probe stack (and runtime) it leases for the shrink;
-// because the scan always selects the smallest accepted candidate index, the
-// minimized schedule is byte-identical for any --jobs value.  So is the
-// `validations` count: it counts what the serial scan runs (every candidate
-// up to and including each winner), and the budget is checked against it.
-// Probes that parallel workers ran past a winner are counted apart, as
-// `speculative`.
+// Candidate batches are evaluated in parallel by one farm::Workers scan per
+// sweep, on worker threads kept for the whole shrink, each on a probe stack
+// (and runtime) it leases for the shrink; because the scan always selects
+// the smallest accepted candidate index, the minimized schedule is
+// byte-identical for any --jobs value.  So is the `validations` count: it
+// counts what the serial scan runs (every candidate up to and including
+// each winner), and the budget is checked against it.  Probes that parallel
+// workers ran past a winner are counted apart, as `speculative`.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,8 @@
 // crash containment, retry-with-backoff, JSONL streaming, and the new
 // stats merge operations it builds on.
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -11,6 +13,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -404,8 +408,8 @@ TEST(FarmRetry, PersistentInfraFailureIsRecordedNotFatal) {
 // --- early stop + JSONL ----------------------------------------------------
 
 TEST(FarmStop, StopOnRecordCancelsRemainingRuns) {
-  // Runs 0 and 1 open worker 0's block (the farm hands each worker a
-  // contiguous block); every later job waits, boundedly, until the stop
+  // Runs 0 and 1 are the first two indices handed out (the farm hands
+  // indices out in order); every later job waits, boundedly, until the stop
   // predicate has seen run 1's record, so no worker can finish all 1000
   // jobs before the stop.
   std::atomic<bool> stopSeen{false};
@@ -543,7 +547,7 @@ TEST(FarmValidation, UnknownNamesFailFastWithClearErrors) {
 TEST(CandidateScan, SmallestAcceptedIndexWinsForAnyWorkerCount) {
   auto accept = [](std::uint64_t i) { return i >= 3; };
   for (std::size_t jobs : {1u, 2u, 4u, 8u}) {
-    CandidateScan s = scanCandidates(64, accept, jobs);
+    CandidateScan s = Workers(jobs).scan(64, accept);
     EXPECT_TRUE(s.found) << "jobs=" << jobs;
     EXPECT_EQ(s.index, 3u) << "jobs=" << jobs;
   }
@@ -551,13 +555,10 @@ TEST(CandidateScan, SmallestAcceptedIndexWinsForAnyWorkerCount) {
 
 TEST(CandidateScan, SerialScanStopsAtTheFirstAccept) {
   std::atomic<std::uint64_t> calls{0};
-  CandidateScan s = scanCandidates(
-      100,
-      [&calls](std::uint64_t i) {
-        calls.fetch_add(1);
-        return i == 5;
-      },
-      1);
+  CandidateScan s = Workers(1).scan(100, [&calls](std::uint64_t i) {
+    calls.fetch_add(1);
+    return i == 5;
+  });
   EXPECT_TRUE(s.found);
   EXPECT_EQ(s.index, 5u);
   EXPECT_EQ(s.evaluated, 6u);
@@ -566,12 +567,12 @@ TEST(CandidateScan, SerialScanStopsAtTheFirstAccept) {
 
 TEST(CandidateScan, HandlesNoAcceptAndEmptyRange) {
   CandidateScan none =
-      scanCandidates(17, [](std::uint64_t) { return false; }, 4);
+      Workers(4).scan(17, [](std::uint64_t) { return false; });
   EXPECT_FALSE(none.found);
   EXPECT_EQ(none.evaluated, 17u);
 
   CandidateScan empty =
-      scanCandidates(0, [](std::uint64_t) { return true; }, 4);
+      Workers(4).scan(0, [](std::uint64_t) { return true; });
   EXPECT_FALSE(empty.found);
   EXPECT_EQ(empty.evaluated, 0u);
 }
@@ -582,10 +583,60 @@ TEST(CandidateScan, ThrowingPredicateCountsAsRejection) {
     return i == 4;
   };
   for (std::size_t jobs : {1u, 4u}) {
-    CandidateScan s = scanCandidates(8, accept, jobs);
+    CandidateScan s = Workers(jobs).scan(8, accept);
     EXPECT_TRUE(s.found) << "jobs=" << jobs;
     EXPECT_EQ(s.index, 4u) << "jobs=" << jobs;
   }
+}
+
+// --- worker threads ---------------------------------------------------------
+
+/// The distinct OS threads that called record().
+struct TidLog {
+  std::mutex mu;
+  std::set<long> tids;
+  void record() {
+    std::lock_guard<std::mutex> lk(mu);
+    tids.insert(::syscall(SYS_gettid));
+  }
+};
+
+TEST(FarmWorkers, ShrinkScansReuseTheirThreads) {
+  // A shrink keeps one worker set for all its sweeps: a hundred --jobs 4
+  // scans run on at most four threads, the caller among them.
+  TidLog log;
+  Workers workers(4);
+  for (int sweep = 0; sweep < 100; ++sweep) {
+    CandidateScan s = workers.scan(32, [&](std::uint64_t i) {
+      log.record();
+      return i == 31;
+    });
+    ASSERT_TRUE(s.found);
+    EXPECT_EQ(s.index, 31u);
+  }
+  EXPECT_LE(log.tids.size(), 4u);
+}
+
+TEST(FarmWorkers, WatchdogStartsOneReplacementPerHungRun) {
+  // Under a watchdog the caller runs nothing; a hung run costs one
+  // replacement thread, not one thread per run.
+  TidLog log;
+  FarmOptions fo;
+  fo.jobs = 2;
+  fo.runTimeout = std::chrono::milliseconds(100);
+  CampaignResult cr = runJobs(
+      200,
+      [&log](std::uint64_t i) {
+        log.record();
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(400));
+        return quickJob(i);
+      },
+      fo);
+  ASSERT_EQ(cr.records.size(), 200u);
+  EXPECT_EQ(cr.timeouts, 1u);
+  EXPECT_EQ(cr.records[3].status, "timeout");
+  EXPECT_LE(log.tids.size(), 3u);
+  EXPECT_EQ(log.tids.count(::syscall(SYS_gettid)), 0u);
 }
 
 // --- journal & resume ------------------------------------------------------

@@ -5,10 +5,14 @@
 // declared saturated before it is fully covered.
 #include <gtest/gtest.h>
 
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <mutex>
 #include <set>
 
 #include "farm/journal.hpp"
@@ -347,6 +351,51 @@ TEST(Guided, IsolatedCampaignForksItsWorkersOnce) {
   EXPECT_EQ(fleet::lastFleetCounters().workersConnected, 2u);
   ASSERT_EQ(p.runs(), 24u);
   EXPECT_EQ(guideReport(t, false), guideReport(p, false));
+}
+
+// A program whose body records the OS thread it runs on.  Managed threads
+// are fibers on the thread that called run(), so that is the worker's.
+std::mutex g_tidMu;
+std::set<long> g_tids;
+
+long osThreadId() { return ::syscall(SYS_gettid); }
+
+class TidProbe final : public suite::Program {
+ public:
+  std::string name() const override { return "guide_tid_probe"; }
+  std::string description() const override {
+    return "records the OS thread of each run";
+  }
+  void body(rt::Runtime&) override {
+    std::lock_guard<std::mutex> lk(g_tidMu);
+    g_tids.insert(osThreadId());
+  }
+};
+
+std::set<long> tidsOfGuidedCampaign(std::size_t jobs, std::uint64_t budget) {
+  suite::ProgramRegistry::instance().add(
+      "guide_tid_probe", [] { return std::make_unique<TidProbe>(); });
+  {
+    std::lock_guard<std::mutex> lk(g_tidMu);
+    g_tids.clear();
+  }
+  experiment::RunSpec base = accountSpec();
+  base.programName = "guide_tid_probe";
+  GuideOptions o = smallCampaign();
+  o.budget = budget;
+  o.farm.jobs = jobs;
+  EXPECT_EQ(runGuided(base, o).runs(), budget);
+  std::lock_guard<std::mutex> lk(g_tidMu);
+  return g_tids;
+}
+
+TEST(Guided, InProcessCampaignStartsItsWorkersOnce) {
+  // One worker set serves every batch: at --jobs 1 each run executes on the
+  // calling thread, and at --jobs 3 the campaign sees at most three threads
+  // however many runs it has.
+  EXPECT_EQ(tidsOfGuidedCampaign(1, 200), std::set<long>{osThreadId()});
+  EXPECT_LE(tidsOfGuidedCampaign(3, 200).size(), 3u);
+  EXPECT_LE(tidsOfGuidedCampaign(3, 400).size(), 3u);
 }
 
 TEST(Guided, IsolatedWorkersRunMutationArmsFromTheCorpus) {

@@ -8,7 +8,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -77,6 +79,38 @@ TEST(Cli, HuntThenReplayReproduces) {
                          " --noise mixed");
   EXPECT_EQ(rep.exitCode, 0) << rep.output;
   EXPECT_NE(rep.output.find("(exact)"), std::string::npos) << rep.output;
+}
+
+TEST(Cli, ParallelHuntReportsTheSerialSeed) {
+  // Seeds are handed out in order and a find stops dispatch only above its
+  // own seed, so a --jobs 4 hunt reports the serial hunt's seed and saves
+  // the same scenario.  "after N runs" depends on timing; it is not compared.
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {"notify_lost", "18"}, {"bounded_buffer_bug", "11"}};
+  for (const auto& [program, seed] : cases) {
+    const std::string serialPath =
+        ::testing::TempDir() + program + ".j1.scenario";
+    const std::string parallelPath =
+        ::testing::TempDir() + program + ".j4.scenario";
+    CmdResult serial =
+        runCli("hunt " + program + " --seeds 500 --out " + serialPath);
+    CmdResult parallel = runCli("hunt " + program +
+                                " --seeds 500 --jobs 4 --out " + parallelPath);
+    ASSERT_EQ(serial.exitCode, 0) << serial.output;
+    ASSERT_EQ(parallel.exitCode, 0) << parallel.output;
+    const std::string line = "bug manifested at seed " + seed + " ";
+    EXPECT_NE(serial.output.find(line), std::string::npos) << serial.output;
+    EXPECT_NE(parallel.output.find(line), std::string::npos)
+        << parallel.output;
+    EXPECT_FALSE(slurp(serialPath).empty());
+    EXPECT_EQ(slurp(serialPath), slurp(parallelPath)) << program;
+    std::remove(serialPath.c_str());
+    std::remove(parallelPath.c_str());
+  }
 }
 
 TEST(Cli, ExploreFindsDeadlock) {

@@ -628,8 +628,8 @@ int cmdHunt(const Args& a) {
   auto p = suite::makeProgram(a.positional[0]);
   std::uint64_t seeds = a.getU64("seeds", 500);
 
-  // The seed scan is a farm campaign: sharded over --jobs workers, stopped
-  // at the first manifestation, optionally streamed to --jsonl.
+  // The seed scan is a farm campaign: in seed order over --jobs workers,
+  // stopped at the first manifestation, optionally streamed to --jsonl.
   experiment::ExperimentSpec spec;
   static_cast<experiment::RunSpec&>(spec) = runSpecFromArgs(a, "random");
   spec.runs = seeds;
